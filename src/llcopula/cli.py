@@ -17,7 +17,7 @@ from .errors import ConfigError, LLCopulaError
 from .estimator import BandwidthPolicy, evaluate_grid, ll_copula_estimate
 from .families import CLAYTON, FRANK, INDEPENDENCE, CopulaModel, cdf
 from .fitting import fit_families
-from .gridio import _atomic_write, read_grid_csv, read_pairs_csv, write_grid_csv, write_pairs_csv
+from .gridio import read_grid_csv, read_pairs_csv, write_csv, write_grid_csv, write_pairs_csv
 from .margins import RawSample, to_pseudo
 from .plotting import render_surface_svg
 from .sampling import SeededStream, sample_copula
@@ -30,7 +30,11 @@ REPRODUCE_POINTS = 10
 
 @dataclass
 class RunConfig:
-    """Flat record of one CLI invocation; echoed into output metadata."""
+    """Flat record of one CLI invocation; echoed into output metadata.
+
+    The field defaults are the CLI's flag defaults: the parser leaves unset
+    flags out of its namespace so that these apply.
+    """
 
     command: str
     family: str | None = None
@@ -136,19 +140,25 @@ def _pseudo_from_file(config: RunConfig):
     return to_pseudo(sample, transform=config.transform)
 
 
-def _policy_for(config: RunConfig, n: int) -> BandwidthPolicy:
-    return BandwidthPolicy.from_sample_size(n, h_n=config.h_n, alpha=config.alpha)
+def _policy_for(config: RunConfig) -> BandwidthPolicy:
+    return BandwidthPolicy.from_sample_size(config.n, h_n=config.h_n, alpha=config.alpha)
 
 
-def _meta_with_policy(config: RunConfig, policy: BandwidthPolicy) -> dict:
-    """Config echo plus the derived bandwidth policy actually used."""
-    meta = config.as_meta()
-    meta["policy_h_n"] = format(policy.h_n, ".17g")
-    meta["policy_h_min"] = format(policy.h_min, ".17g")
-    meta["policy_h_max"] = format(policy.h_max, ".17g")
-    meta["policy_alpha"] = format(policy.alpha, ".17g")
-    meta["policy_shrink"] = str(policy.shrink_enabled)
-    return meta
+def _estimate_from_file(config: RunConfig):
+    """Grid estimate of the --in pairs, plus the config echo (n is the file's
+    row count) and the derived bandwidth policy actually used."""
+    pseudo = _pseudo_from_file(config)
+    config = replace(config, n=pseudo.n)
+    policy = _policy_for(config)
+    meta = {
+        **config.as_meta(),
+        "policy_h_n": policy.h_n,
+        "policy_h_min": policy.h_min,
+        "policy_h_max": policy.h_max,
+        "policy_alpha": policy.alpha,
+        "policy_shrink": str(policy.shrink_enabled),
+    }
+    return evaluate_grid(pseudo, config.grid_size, policy), meta
 
 
 def cmd_sample(config: RunConfig) -> int:
@@ -160,40 +170,18 @@ def cmd_sample(config: RunConfig) -> int:
 
 
 def cmd_estimate(config: RunConfig) -> int:
-    pseudo = _pseudo_from_file(config)
-    config = replace(config, n=pseudo.n)
-    policy = _policy_for(config, pseudo.n)
-    grid = evaluate_grid(pseudo, config.grid_size, policy)
-    degenerate = BandGrid(
-        grid_u=grid.grid_u,
-        grid_v=grid.grid_v,
-        estimate=grid.values,
-        lower=grid.values,
-        upper=grid.values,
-        halfwidth=0.0,
-        meta=_meta_with_policy(config, policy),
-    )
+    grid, meta = _estimate_from_file(config)
+    v = grid.values  # zero-width band: estimate = lower = upper
+    degenerate = BandGrid(grid.grid_u, grid.grid_v, v, v, v, halfwidth=0.0, meta=meta)
     write_grid_csv(degenerate, config.output_path)
     print(f"wrote {config.grid_size}x{config.grid_size} estimate grid to {config.output_path}")
     return 0
 
 
 def cmd_bands(config: RunConfig) -> int:
-    pseudo = _pseudo_from_file(config)
-    config = replace(config, n=pseudo.n)
-    policy = _policy_for(config, pseudo.n)
-    grid = evaluate_grid(pseudo, config.grid_size, policy)
-    params = BandParameters(n=pseudo.n, A_c=config.A_c, epsilon=config.epsilon)
-    result = confidence_bands(grid, params, clip_to_frechet=config.clip)
-    result = BandGrid(
-        grid_u=result.grid_u,
-        grid_v=result.grid_v,
-        estimate=result.estimate,
-        lower=result.lower,
-        upper=result.upper,
-        halfwidth=result.halfwidth,
-        meta=_meta_with_policy(config, policy),
-    )
+    grid, meta = _estimate_from_file(config)
+    params = BandParameters(n=grid.n, A_c=config.A_c, epsilon=config.epsilon)
+    result = replace(confidence_bands(grid, params, clip_to_frechet=config.clip), meta=meta)
     write_grid_csv(result, config.output_path)
     print(
         f"wrote bands (half-width {result.halfwidth:.6f}) on a "
@@ -215,16 +203,13 @@ def cmd_fit(config: RunConfig) -> int:
         print(f"{row.family:<14}{theta:>12}{ll:>18}  {note}")
     print(f"selected: {report.selected}")
     if config.output_path:
-        lines = ["family,theta,log_likelihood,applicable,note"]
-        for row in report.rows:
-            theta = "" if row.theta is None else format(row.theta, ".17g")
-            ll = "" if row.log_likelihood is None else format(row.log_likelihood, ".17g")
-            lines.append(f"{row.family},{theta},{ll},{int(row.applicable)},{row.note}")
-        meta = config.as_meta()
-        meta["tau_hat"] = format(report.tau_hat, ".17g")
-        meta["selected"] = report.selected
-        lines.extend(f"# {k} = {v}" for k, v in meta.items())
-        _atomic_write(config.output_path, "\n".join(lines) + "\n")
+        rows = [
+            (row.family, row.theta, row.log_likelihood, int(row.applicable), row.note)
+            for row in report.rows
+        ]
+        meta = {**config.as_meta(), "tau_hat": report.tau_hat, "selected": report.selected}
+        header = ("family", "theta", "log_likelihood", "applicable", "note")
+        write_csv(config.output_path, header, rows, meta)
     return 0
 
 
@@ -242,39 +227,24 @@ def cmd_reproduce(config: RunConfig) -> int:
     streams = SeededStream(config.seed).substreams(2 * len(thetas))
     params = BandParameters(n=config.n, A_c=config.A_c, epsilon=config.epsilon)
     halfwidth = band_halfwidth(params)
-    lines = ["theta,u,v,lower,true_value,upper,contained"]
+    rows = []
     all_contained = True
     for k, theta in enumerate(thetas):
         model = CopulaModel(config.family, theta)
         draws = sample_copula(model, config.n, streams[2 * k])
         pseudo = to_pseudo(RawSample(draws.u, draws.v), transform=config.transform)
         points = streams[2 * k + 1].generator().random((REPRODUCE_POINTS, 2))
-        estimates = ll_copula_estimate(
-            pseudo, points[:, 0], points[:, 1], _policy_for(config, config.n)
-        )
+        estimates = ll_copula_estimate(pseudo, points[:, 0], points[:, 1], _policy_for(config))
         truth = cdf(model, points[:, 0], points[:, 1])
         lower = estimates - halfwidth
         upper = estimates + halfwidth
-        for i in range(REPRODUCE_POINTS):
-            contained = bool(lower[i] <= truth[i] <= upper[i])
-            all_contained &= contained
-            lines.append(
-                ",".join(
-                    [
-                        format(theta, ".17g"),
-                        format(points[i, 0], ".17g"),
-                        format(points[i, 1], ".17g"),
-                        format(lower[i], ".17g"),
-                        format(truth[i], ".17g"),
-                        format(upper[i], ".17g"),
-                        "yes" if contained else "no",
-                    ]
-                )
-            )
-    meta = config.as_meta()
-    meta["halfwidth"] = format(halfwidth, ".17g")
-    lines.extend(f"# {k} = {v}" for k, v in meta.items())
-    _atomic_write(config.output_path, "\n".join(lines) + "\n")
+        contained = (lower <= truth) & (truth <= upper)
+        all_contained &= bool(contained.all())
+        verdicts = ("yes" if c else "no" for c in contained)
+        rows.extend(zip([theta] * REPRODUCE_POINTS, *points.T, lower, truth, upper, verdicts))
+    meta = {**config.as_meta(), "halfwidth": halfwidth}
+    header = ("theta", "u", "v", "lower", "true_value", "upper", "contained")
+    write_csv(config.output_path, header, rows, meta)
     verdict = "all contained" if all_contained else "violations present"
     print(
         f"wrote {len(thetas) * REPRODUCE_POINTS} containment rows "
@@ -300,42 +270,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, needs_in=False):
-        p.add_argument("--family", type=str, default=None)
-        p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--n", type=int, default=500)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--grid", type=int, default=101, dest="grid_size")
-        p.add_argument("--alpha", type=float, default=0.5, help="shrink exponent")
-        p.add_argument("--hn", type=float, default=None, dest="h_n", help="global bandwidth override")
-        p.add_argument("--Ac", type=float, default=3.0, dest="A_c", help="band rate constant")
-        p.add_argument("--epsilon", type=float, default=0.0)
-        p.add_argument("--transform", choices=("rank", "smoothed"), default="rank")
+    def add_command(name, summary, *, needs_in=False):
+        # Unset flags stay out of the namespace; RunConfig holds the defaults.
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.add_argument("--family", type=str)
+        p.add_argument("--theta", type=float)
+        p.add_argument("--n", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--grid", type=int, dest="grid_size")
+        p.add_argument("--alpha", type=float, help="shrink exponent")
+        p.add_argument("--hn", type=float, dest="h_n", help="global bandwidth override")
+        p.add_argument("--Ac", type=float, dest="A_c", help="band rate constant")
+        p.add_argument("--epsilon", type=float)
+        p.add_argument("--transform", choices=("rank", "smoothed"))
         p.add_argument("--clip", action="store_true", help="clip bands to the copula envelope")
         if needs_in:
-            p.add_argument("--in", type=str, default=None, dest="input_path")
-        p.add_argument("--out", type=str, default=None, dest="output_path", required=False)
+            p.add_argument("--in", type=str, dest="input_path")
+        p.add_argument("--out", type=str, dest="output_path")
+        return p
 
-    add_common(sub.add_parser("sample", help="draw from a parametric copula"))
-    add_common(sub.add_parser("estimate", help="smoothed copula estimate on a grid"), needs_in=True)
-    add_common(sub.add_parser("bands", help="estimate plus confidence bands"), needs_in=True)
-    add_common(sub.add_parser("fit", help="tau-inversion fits and likelihood ranking"), needs_in=True)
-    plot = sub.add_parser("plot", help="render a band grid as SVG")
-    add_common(plot, needs_in=True)
-    plot.add_argument(
+    add_command("sample", "draw from a parametric copula")
+    add_command("estimate", "smoothed copula estimate on a grid", needs_in=True)
+    add_command("bands", "estimate plus confidence bands", needs_in=True)
+    add_command("fit", "tau-inversion fits and likelihood ranking", needs_in=True)
+    add_command("plot", "render a band grid as SVG", needs_in=True).add_argument(
         "--overlay",
         action="append",
-        default=[],
         dest="overlays",
         help="family=theta curve to draw, repeatable up to 3 times",
     )
-    repro = sub.add_parser("reproduce", help="containment tables for simulated data")
-    add_common(repro)
-    repro.add_argument(
+    add_command("reproduce", "containment tables for simulated data").add_argument(
         "--theta-list",
         type=float,
         nargs="+",
-        default=None,
         dest="thetas",
         help="override the per-family default parameter list",
     )
@@ -343,24 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        family=args.family,
-        theta=args.theta,
-        n=args.n,
-        seed=args.seed,
-        grid_size=args.grid_size,
-        alpha=args.alpha,
-        h_n=args.h_n,
-        A_c=args.A_c,
-        epsilon=args.epsilon,
-        transform=args.transform,
-        clip=args.clip,
-        input_path=getattr(args, "input_path", None),
-        output_path=args.output_path,
-        overlays=tuple(getattr(args, "overlays", ()) or ()),
-        thetas=tuple(args.thetas) if getattr(args, "thetas", None) else None,
-    )
+    values = dict(vars(args))
+    for name in ("overlays", "thetas"):
+        if name in values:
+            values[name] = tuple(values[name])
+    return RunConfig(**values)
 
 
 def main(argv=None) -> int:

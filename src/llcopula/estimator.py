@@ -10,7 +10,7 @@ copula is provided as the desk-scale oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,6 @@ class BandwidthPolicy:
 
     ``from_sample_size`` fills the defaults: h_n = 1/log n, clamp floor
     c*log(n)/n, clamp ceiling ((log log n)/n)^(1/4), shrink exponent 1/2.
-    ``shrink_scale_only`` switches to the variant where the moment correction
-    stays at the global bandwidth and only the kernel argument is rescaled
-    by the shrunk width; it exists for comparison and is off by default.
     """
 
     h_n: float
@@ -35,7 +32,6 @@ class BandwidthPolicy:
     h_max: float
     alpha: float = 0.5
     shrink_enabled: bool = True
-    shrink_scale_only: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.h_n) and self.h_n > 0):
@@ -56,7 +52,6 @@ class BandwidthPolicy:
         alpha: float = 0.5,
         clamp_constant: float = 1.0,
         shrink_enabled: bool = True,
-        shrink_scale_only: bool = False,
     ) -> "BandwidthPolicy":
         n = int(n)
         if n < 16:
@@ -77,11 +72,7 @@ class BandwidthPolicy:
             h_max=h_max,
             alpha=float(alpha),
             shrink_enabled=shrink_enabled,
-            shrink_scale_only=shrink_scale_only,
         )
-
-    def without_shrink(self) -> "BandwidthPolicy":
-        return replace(self, shrink_enabled=False)
 
 
 def shrink_factor(u, v, alpha: float):
@@ -113,8 +104,7 @@ def _coordinate_factor(coord: float, data: np.ndarray, policy: BandwidthPolicy, 
         h_eff = effective_bandwidth(coord, 1.0, policy)
     else:
         h_eff = effective_bandwidth(1.0, coord, policy)
-    h_kernel = float(np.clip(policy.h_n, policy.h_min, policy.h_max)) if policy.shrink_scale_only else h_eff
-    kern = LocalKernel.at(coord, h_kernel)
+    kern = LocalKernel.at(coord, h_eff)
     return local_linear_cdf(kern, (coord - data) / h_eff)
 
 

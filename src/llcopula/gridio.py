@@ -2,8 +2,9 @@
 
 Files are comma-separated with dot decimals, an optional header, and a
 trailing metadata block of ``# key = value`` comment lines.  Floats are
-written with 17 significant digits so grids round-trip bitwise.  All writes
-go through a temp file and an atomic rename.
+written with 17 significant digits so grids round-trip bitwise.  Every
+output file of the package is written by ``write_csv`` or ``atomic_write``:
+a unique temp file in the target directory, then an atomic rename.
 """
 
 from __future__ import annotations
@@ -29,21 +30,36 @@ class CsvDiagnostics:
     header_skipped: bool = False
 
 
-def _format_float(x: float) -> str:
+def _cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
     return format(float(x), ".17g")
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` by temp file and rename; the temp name is
+    unique per call, so writers never share it, and it is removed on failure."""
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def _meta_lines(meta: dict | None) -> list[str]:
-    if not meta:
-        return []
-    return [f"# {key} = {value}" for key, value in meta.items()]
+def write_csv(path: str, header, rows, meta: dict | None = None) -> None:
+    """Header, rows, then ``# key = value`` lines.  Cells and metadata values
+    alike: floats at 17 significant digits, strings verbatim, None empty.
+    ``rows`` may be a lazy iterable, so a large table is never held twice."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    lines.extend(f"# {key} = {_cell(value)}" for key, value in (meta or {}).items())
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _parse_meta_line(line: str) -> tuple[str, str]:
@@ -86,30 +102,18 @@ def read_pairs_csv(path: str) -> tuple[RawSample, CsvDiagnostics]:
     return sample, CsvDiagnostics(blank_lines=blanks, comment_lines=comments, header_skipped=header_skipped)
 
 
-def write_pairs_csv(path: str, x, y, meta: dict | None = None, header=("u", "v")) -> None:
-    lines = [",".join(header)]
-    for a, b in zip(np.asarray(x, dtype=float), np.asarray(y, dtype=float)):
-        lines.append(f"{_format_float(a)},{_format_float(b)}")
-    lines.extend(_meta_lines(meta))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def write_pairs_csv(path: str, x, y, meta: dict | None = None) -> None:
+    rows = np.column_stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
+    write_csv(path, ("u", "v"), map(np.ndarray.tolist, rows), meta)
 
 
 def write_grid_csv(grid: BandGrid, path: str) -> None:
     """Emit a band grid in u-major row order plus the metadata block."""
-    lines = [",".join(GRID_COLUMNS)]
-    for i, u in enumerate(grid.grid_u):
-        for j, v in enumerate(grid.grid_v):
-            lines.append(
-                ",".join(
-                    _format_float(x)
-                    for x in (u, v, grid.estimate[i, j], grid.lower[i, j], grid.upper[i, j])
-                )
-            )
-    meta = {"halfwidth": _format_float(grid.halfwidth)}
-    if grid.meta:
-        meta.update({k: v for k, v in grid.meta.items() if k != "halfwidth"})
-    lines.extend(_meta_lines(meta))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    uu, vv = np.meshgrid(grid.grid_u, grid.grid_v, indexing="ij")
+    rows = np.column_stack([a.ravel() for a in (uu, vv, grid.estimate, grid.lower, grid.upper)])
+    meta = {"halfwidth": grid.halfwidth}
+    meta.update({k: v for k, v in (grid.meta or {}).items() if k != "halfwidth"})
+    write_csv(path, GRID_COLUMNS, map(np.ndarray.tolist, rows), meta)
 
 
 def read_grid_csv(path: str) -> BandGrid:

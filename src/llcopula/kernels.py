@@ -108,12 +108,6 @@ class LocalKernel:
     def at(cls, u: float, h: float) -> "LocalKernel":
         return cls(u=float(u), h=float(h), moments=kernel_moments(u, h))
 
-    def density(self, t):
-        return local_linear_density(self, t)
-
-    def cdf(self, x):
-        return local_linear_cdf(self, x)
-
 
 def local_linear_density(kern: LocalKernel, t):
     """Corrected kernel density at t; zero outside [lo, hi]."""

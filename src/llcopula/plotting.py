@@ -9,13 +9,12 @@ files.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .bands import BandGrid
 from .errors import ConfigError
 from .families import CopulaModel, cdf
+from .gridio import atomic_write
 
 _W, _H = 920, 470
 _HEAT = (50, 30, 400, 400)  # x, y, width, height
@@ -131,8 +130,4 @@ def render_surface_svg(grid: BandGrid, path: str, overlays=()) -> None:
             f'fill="{color}">{model.label()}</text>'
         )
     parts.append("</svg>")
-
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, "\n".join(parts) + "\n")

@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from llcopula.cli import RunConfig, main, validate_config
+from llcopula.cli import RunConfig, build_parser, config_from_args, main, validate_config
 from llcopula.gridio import read_grid_csv, read_pairs_csv
 
 
@@ -38,6 +40,38 @@ class TestValidation:
         assert any("--in" in p for p in problems)
         assert any("--out" in p for p in problems)
         assert any("bogus" in p for p in problems)
+
+
+def parse(*argv):
+    return config_from_args(build_parser().parse_args(list(argv)))
+
+
+class TestFlags:
+    SHARED = [
+        "--family", "frank", "--theta", "5", "--n", "40", "--seed", "9", "--grid", "7",
+        "--alpha", "0.7", "--hn", "0.2", "--Ac", "2.5", "--epsilon", "0.1",
+        "--transform", "smoothed", "--clip", "--out", "o.csv",
+    ]
+    SHARED_FIELDS = dict(
+        family="frank", theta=5.0, n=40, seed=9, grid_size=7, alpha=0.7, h_n=0.2,
+        A_c=2.5, epsilon=0.1, transform="smoothed", clip=True, output_path="o.csv",
+    )
+
+    def test_unset_flags_take_run_config_defaults(self):
+        assert parse("sample", "--out", "x") == RunConfig(command="sample", output_path="x")
+
+    def test_every_flag_fills_its_field(self):
+        plot = parse("plot", *self.SHARED, "--in", "b.csv",
+                     "--overlay", "clayton=2", "--overlay", "independence")
+        assert plot == RunConfig(command="plot", input_path="b.csv",
+                                 overlays=("clayton=2", "independence"), **self.SHARED_FIELDS)
+        repro = parse("reproduce", *self.SHARED, "--theta-list", "0.5", "7")
+        assert repro == RunConfig(command="reproduce", thetas=(0.5, 7.0), **self.SHARED_FIELDS)
+        # between them the two command lines move every field off its default
+        default = RunConfig(command="sample")
+        for f in fields(RunConfig):
+            unset = getattr(default, f.name)
+            assert getattr(plot, f.name) != unset or getattr(repro, f.name) != unset, f.name
 
 
 class TestPipeline:

@@ -223,15 +223,6 @@ class TestShrinkageBoundaryBehavior:
         border = (uu == 0.0) | (uu == 1.0) | (vv == 0.0) | (vv == 1.0)
         assert np.abs(ge.values - emp)[border].max() <= 1.0 / n + pol.h_min
 
-    def test_scale_only_variant_differs_but_stays_close(self):
-        ps = make_sample(CopulaModel("clayton", 2.0), 500, 6)
-        base = BandwidthPolicy.from_sample_size(500)
-        alt = BandwidthPolicy.from_sample_size(500, shrink_scale_only=True)
-        a = evaluate_grid(ps, 11, base).values
-        b = evaluate_grid(ps, 11, alt).values
-        assert not np.array_equal(a, b)
-        assert np.abs(a - b).max() <= 2.0 * base.h_max
-
 
 class TestBiasDecay:
     def test_independence_bias_bounded_by_h_squared(self):

@@ -1,14 +1,19 @@
+import ast
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import llcopula
 from llcopula.bands import BandGrid
 from llcopula.errors import InputError
 from llcopula.gridio import (
     CsvDiagnostics,
+    atomic_write,
     read_grid_csv,
     read_pairs_csv,
+    write_csv,
     write_grid_csv,
     write_pairs_csv,
 )
@@ -129,7 +134,7 @@ class TestGridCsv:
     def test_no_temp_file_left(self, tmp_path):
         path = str(tmp_path / "grid.csv")
         write_grid_csv(make_band_grid(), path)
-        assert not os.path.exists(path + ".tmp")
+        assert os.listdir(tmp_path) == ["grid.csv"]
 
     def test_missing_halfwidth_metadata(self, tmp_path):
         path = tmp_path / "grid.csv"
@@ -158,3 +163,73 @@ class TestGridCsv:
         )
         with pytest.raises(InputError, match="lattice"):
             read_grid_csv(str(path))
+
+
+class TestWriteCsv:
+    def test_exact_text(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [(0.1, None, "yes"), (2.0, -1.5e-20, "no")]
+        write_csv(str(path), ("a", "b", "c"), rows, meta={"k": "v", "x": 0.25})
+        assert path.read_text() == (
+            "a,b,c\n"
+            "0.10000000000000001,,yes\n"
+            "2,-1.5000000000000001e-20,no\n"
+            "# k = v\n"
+            "# x = 0.25\n"
+        )
+
+    def test_no_meta_block(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(str(path), ("a",), [(1,)])
+        assert path.read_text() == "a\n1\n"
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file_and_cleans_up(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write(str(path), "\udcff")
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_replaces_and_keeps_default_mode(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        plain = tmp_path / "plain"
+        with open(plain, "w"):
+            pass
+        atomic_write(str(path), "new\n")
+        assert path.read_text() == "new\n"
+        assert path.stat().st_mode == plain.stat().st_mode
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "plain"]
+
+
+def _writes_files(node: ast.Call) -> bool:
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("replace", "rename") and isinstance(func, ast.Attribute):
+        return getattr(func.value, "id", None) == "os"
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open" or isinstance(func, ast.Attribute):
+        return False
+    mode = node.args[1] if len(node.args) > 1 else None
+    mode = next((kw.value for kw in node.keywords if kw.arg == "mode"), mode)
+    if mode is None:
+        return False
+    if not isinstance(mode, ast.Constant):
+        return True
+    return any(ch in mode.value for ch in "wxa+")
+
+
+def test_only_gridio_writes_files():
+    # One atomic write for every output file: no other module may open a
+    # file for writing or rename one into place.
+    package = Path(llcopula.__file__).parent
+    writers = set()
+    for source in package.glob("*.py"):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        if any(isinstance(n, ast.Call) and _writes_files(n) for n in ast.walk(tree)):
+            writers.add(source.name)
+    assert writers == {"gridio.py"}
