@@ -20,11 +20,9 @@ from .errors import (
 from .estimator import (
     BandwidthPolicy,
     GridEvaluation,
-    effective_bandwidth,
     empirical_copula,
     evaluate_grid,
     ll_copula_estimate,
-    shrink_factor,
 )
 from .families import (
     FAMILIES,
@@ -88,7 +86,6 @@ __all__ = [
     "containment_report",
     "debye1",
     "density",
-    "effective_bandwidth",
     "empirical_copula",
     "empirical_kendall_tau",
     "epanechnikov",
@@ -106,7 +103,6 @@ __all__ = [
     "read_pairs_csv",
     "render_surface_svg",
     "sample_copula",
-    "shrink_factor",
     "shrunken_halfwidth",
     "smoothed_marginal_cdf",
     "tau_from_theta",

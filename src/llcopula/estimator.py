@@ -1,10 +1,13 @@
 """Local-linear kernel copula estimator with boundary shrinkage.
 
 The estimate at (u, v) is the sample mean of products of integrated
-local-linear kernels, one factor per coordinate.  Each factor uses its own
-location-dependent bandwidth: the global rate times the shrink factor of
-that coordinate, clamped into [h_min, h_max].  The unsmoothed empirical
-copula is provided as the desk-scale oracle.
+local-linear kernels, one factor per coordinate.  Each factor uses the
+bandwidth of its own coordinate c, clamp(h_n * min(c, 1-c)^alpha, h_min,
+h_max).  This per-axis rule is a deliberate deviation from the paper's joint
+bandwidth clamp(h_n * max{min(u, 1-u), min(v, 1-v)}^alpha, h_min, h_max): it
+keeps the factor of a grid row independent of the column, so the whole grid
+is a single matrix product.  The unsmoothed empirical copula is provided as the
+desk-scale oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ class BandwidthPolicy:
     """Global bandwidth rate plus the shrinkage and clamping rules.
 
     ``from_sample_size`` fills the defaults: h_n = 1/log n, clamp floor
-    c*log(n)/n, clamp ceiling ((log log n)/n)^(1/4), shrink exponent 1/2.
+    log(n)/n, clamp ceiling ((log log n)/n)^(1/4), shrink exponent 1/2.
     """
 
     h_n: float
@@ -45,67 +48,32 @@ class BandwidthPolicy:
             raise ConfigError(f"shrink exponent must be positive, got {self.alpha}")
 
     @classmethod
-    def from_sample_size(
-        cls,
-        n: int,
-        h_n: float | None = None,
-        alpha: float = 0.5,
-        clamp_constant: float = 1.0,
-        shrink_enabled: bool = True,
-    ) -> "BandwidthPolicy":
+    def from_sample_size(cls, n: int, h_n: float | None = None, alpha: float = 0.5) -> "BandwidthPolicy":
         n = int(n)
         if n < 16:
             raise ConfigError(f"bandwidth policy defaults need n >= 16, got {n}")
         log_n = math.log(n)
         if h_n is None:
             h_n = 1.0 / log_n
-        h_min = clamp_constant * log_n / n
-        h_max = (math.log(log_n) / n) ** 0.25
-        if h_min > h_max:
-            raise ConfigError(
-                f"clamp floor {h_min:.3g} exceeds ceiling {h_max:.3g} at n={n}; "
-                "reduce clamp_constant"
-            )
-        return cls(
-            h_n=float(h_n),
-            h_min=h_min,
-            h_max=h_max,
-            alpha=float(alpha),
-            shrink_enabled=shrink_enabled,
-        )
+        # h_min / h_max is largest at n = 16, about 0.34, so the interval is never empty.
+        return cls(h_n=float(h_n), h_min=log_n / n, h_max=(math.log(log_n) / n) ** 0.25, alpha=float(alpha))
+
+    def bandwidth(self, coord) -> float:
+        """Bandwidth of one coordinate c in [0, 1]: clamp(h_n * min(c, 1-c)^alpha,
+        h_min, h_max), or the clamped h_n when shrinkage is off."""
+        c = np.asarray(coord, dtype=float)
+        if not 0.0 <= c <= 1.0:
+            raise ConfigError(f"bandwidth coordinate must lie in [0, 1], got {coord}")
+        if not self.shrink_enabled:
+            return float(np.clip(self.h_n, self.h_min, self.h_max))
+        factor = np.minimum(c**self.alpha, (1.0 - c) ** self.alpha)
+        return float(np.clip(self.h_n * factor, self.h_min, self.h_max))
 
 
-def shrink_factor(u, v, alpha: float):
-    """max{min(u^a, (1-u)^a), min(v^a, (1-v)^a)} in [0, 1]."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if (u < 0).any() or (u > 1).any() or (v < 0).any() or (v > 1).any():
-        raise ConfigError("shrink factor is defined on the unit square")
-    if not alpha > 0:
-        raise ConfigError(f"shrink exponent must be positive, got {alpha}")
-    fu = np.minimum(u**alpha, (1.0 - u) ** alpha)
-    fv = np.minimum(v**alpha, (1.0 - v) ** alpha)
-    out = np.maximum(fu, fv)
-    return float(out) if out.ndim == 0 else out
-
-
-def effective_bandwidth(u, v, policy: BandwidthPolicy):
-    """Location-dependent bandwidth clamped into [h_min, h_max]."""
-    factor = shrink_factor(u, v, policy.alpha)
-    if not policy.shrink_enabled:
-        factor = np.ones_like(np.asarray(factor, dtype=float))
-    out = np.clip(policy.h_n * factor, policy.h_min, policy.h_max)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def _coordinate_factor(coord: float, data: np.ndarray, policy: BandwidthPolicy, axis: str) -> np.ndarray:
-    """Integrated-kernel factor K((coord - data)/h) for one grid coordinate."""
-    if axis == "u":
-        h_eff = effective_bandwidth(coord, 1.0, policy)
-    else:
-        h_eff = effective_bandwidth(1.0, coord, policy)
-    kern = LocalKernel.at(coord, h_eff)
-    return local_linear_cdf(kern, (coord - data) / h_eff)
+def _axis_factor(coord: float, data: np.ndarray, policy: BandwidthPolicy) -> np.ndarray:
+    """Integrated-kernel factor K((coord - data)/h) at h = policy.bandwidth(coord)."""
+    h = policy.bandwidth(coord)
+    return local_linear_cdf(LocalKernel.at(coord, h), (coord - data) / h)
 
 
 def ll_copula_estimate(sample: PseudoSample, u, v, policy: BandwidthPolicy):
@@ -123,8 +91,8 @@ def ll_copula_estimate(sample: PseudoSample, u, v, policy: BandwidthPolicy):
         raise ConfigError("evaluation points must lie in the unit square")
     flat = np.empty(u.size)
     for i, (uu, vv) in enumerate(zip(u.ravel(), v.ravel())):
-        fu = _coordinate_factor(uu, sample.u, policy, "u")
-        fv = _coordinate_factor(vv, sample.v, policy, "v")
+        fu = _axis_factor(uu, sample.u, policy)
+        fv = _axis_factor(vv, sample.v, policy)
         flat[i] = np.mean(fu * fv)
     out = np.clip(flat.reshape(u.shape), 0.0, 1.0)
     return float(out[0]) if scalar else out
@@ -138,7 +106,6 @@ class GridEvaluation:
     grid_v: np.ndarray
     values: np.ndarray
     n: int
-    policy: BandwidthPolicy
 
     def __post_init__(self):
         gu = np.asarray(self.grid_u, dtype=float)
@@ -163,10 +130,10 @@ def evaluate_grid(sample: PseudoSample, grid_size: int, policy: BandwidthPolicy)
     if grid_size < 2:
         raise ConfigError(f"grid size must be >= 2, got {grid_size}")
     grid = np.linspace(0.0, 1.0, grid_size)
-    ku = np.stack([_coordinate_factor(g, sample.u, policy, "u") for g in grid])
-    kv = np.stack([_coordinate_factor(g, sample.v, policy, "v") for g in grid])
+    ku = np.stack([_axis_factor(g, sample.u, policy) for g in grid])
+    kv = np.stack([_axis_factor(g, sample.v, policy) for g in grid])
     values = np.clip(ku @ kv.T / sample.n, 0.0, 1.0)
-    return GridEvaluation(grid_u=grid, grid_v=grid, values=values, n=sample.n, policy=policy)
+    return GridEvaluation(grid_u=grid, grid_v=grid, values=values, n=sample.n)
 
 
 def empirical_copula(sample: PseudoSample, u, v):

@@ -64,13 +64,13 @@ class CopulaModel:
         return f"{self.family} theta={self.theta:g}"
 
 
-def _check_range(arr, name, lo=0.0, hi=1.0, strict=False):
-    bad = (arr < lo) | (arr > hi) | ~np.isfinite(arr)
+def _check_range(arr, name, strict=False):
+    bad = (arr < 0.0) | (arr > 1.0) | ~np.isfinite(arr)
     if strict:
-        bad |= (arr == lo) | (arr == hi)
+        bad |= (arr == 0.0) | (arr == 1.0)
     if bad.any():
         kind = "strictly inside" if strict else "in"
-        raise ConfigError(f"{name} must lie {kind} [{lo}, {hi}]")
+        raise ConfigError(f"{name} must lie {kind} [0.0, 1.0]")
 
 
 def _log_abs_expm1(z):
@@ -241,11 +241,11 @@ def conditional_cdf(model: CopulaModel, v, given_u):
     return float(out[0]) if scalar else out
 
 
-def inverse_conditional(model: CopulaModel, w, given_u, tol=1e-12, max_iter=200):
+def inverse_conditional(model: CopulaModel, w, given_u):
     """Solve C_2(v | u) = w for v; closed form except Gumbel (bracketed solve).
 
-    The default tolerance is tighter than the 1e-10 contract so that v itself
-    is accurate even where the conditional CDF is nearly flat.
+    The Gumbel solve stops at 1e-12, tighter than the 1e-10 contract, so that
+    v itself is accurate even where the conditional CDF is nearly flat.
     """
     w = np.asarray(w, dtype=float)
     given_u = np.asarray(given_u, dtype=float)
@@ -273,8 +273,7 @@ def inverse_conditional(model: CopulaModel, w, given_u, tol=1e-12, max_iter=200)
             lambda vv: conditional_cdf(model, vv, u),
             lambda vv: density(model, u, vv),
             w,
-            tol=tol,
-            max_iter=max_iter,
+            tol=1e-12,
         )
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out

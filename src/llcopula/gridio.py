@@ -34,7 +34,8 @@ def _cell(x) -> str:
     if x is None:
         return ""
     if isinstance(x, str):
-        return x
+        # RFC 4180 quoting, needed only where the text holds a comma or a quote.
+        return '"' + x.replace('"', '""') + '"' if "," in x or '"' in x else x
     return format(float(x), ".17g")
 
 
@@ -54,11 +55,13 @@ def atomic_write(path: str, text: str) -> None:
 
 def write_csv(path: str, header, rows, meta: dict | None = None) -> None:
     """Header, rows, then ``# key = value`` lines.  Cells and metadata values
-    alike: floats at 17 significant digits, strings verbatim, None empty.
+    alike: floats at 17 significant digits, None empty, strings verbatim,
+    except that a row cell holding a comma or a double quote is quoted.
     ``rows`` may be a lazy iterable, so a large table is never held twice."""
     lines = [",".join(header)]
     lines.extend(",".join(map(_cell, row)) for row in rows)
-    lines.extend(f"# {key} = {_cell(value)}" for key, value in (meta or {}).items())
+    for key, value in (meta or {}).items():
+        lines.append(f"# {key} = {value if isinstance(value, str) else _cell(value)}")
     atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -16,10 +16,6 @@ from .kernels import epanechnikov_cdf
 
 TRANSFORM_RANK = "rank"
 TRANSFORM_SMOOTHED = "smoothed"
-# Tag for data that is already a copula sample (e.g. simulated draws).
-TRANSFORM_DIRECT = "direct"
-
-_TAGS = (TRANSFORM_RANK, TRANSFORM_SMOOTHED, TRANSFORM_DIRECT)
 
 
 @dataclass(frozen=True)
@@ -52,7 +48,6 @@ class PseudoSample:
 
     u: np.ndarray
     v: np.ndarray
-    transform_tag: str
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -63,9 +58,8 @@ class PseudoSample:
             raise ConfigError("pseudo-sample must consist of two equal-length 1-d columns")
         if len(u) < 1:
             raise ConfigError("pseudo-sample is empty")
-        if self.transform_tag not in _TAGS:
-            raise ConfigError(f"unknown transform tag {self.transform_tag!r}")
-        if (u < 0).any() or (u > 1).any() or (v < 0).any() or (v > 1).any():
+        # Written so that NaN fails it too.
+        if not (((u >= 0) & (u <= 1)).all() and ((v >= 0) & (v <= 1)).all()):
             raise ConfigError("pseudo-observations must lie in [0, 1]")
 
     @property
@@ -99,15 +93,12 @@ def default_margin_bandwidth(values) -> float:
     return sd * len(values) ** (-1.0 / 3.0)
 
 
-def to_pseudo_smoothed(sample: RawSample, b1: float | None = None, b2: float | None = None) -> PseudoSample:
-    """Pseudo-observations via smoothed marginal CDFs evaluated at the data."""
-    if b1 is None:
-        b1 = default_margin_bandwidth(sample.x)
-    if b2 is None:
-        b2 = default_margin_bandwidth(sample.y)
-    u = smoothed_marginal_cdf(sample.x, b1, sample.x)
-    v = smoothed_marginal_cdf(sample.y, b2, sample.y)
-    return PseudoSample(u=u, v=v, transform_tag=TRANSFORM_SMOOTHED)
+def to_pseudo_smoothed(sample: RawSample) -> PseudoSample:
+    """Pseudo-observations via smoothed marginal CDFs evaluated at the data,
+    each margin at its ``default_margin_bandwidth``."""
+    u = smoothed_marginal_cdf(sample.x, default_margin_bandwidth(sample.x), sample.x)
+    v = smoothed_marginal_cdf(sample.y, default_margin_bandwidth(sample.y), sample.y)
+    return PseudoSample(u=u, v=v)
 
 
 def _scaled_ranks(values: np.ndarray) -> np.ndarray:
@@ -120,18 +111,13 @@ def _scaled_ranks(values: np.ndarray) -> np.ndarray:
 
 def to_pseudo_ranks(sample: RawSample) -> PseudoSample:
     """Pseudo-observations (n/(n+1)) * F_n(X_i) from empirical ranks."""
-    return PseudoSample(
-        u=_scaled_ranks(sample.x),
-        v=_scaled_ranks(sample.y),
-        transform_tag=TRANSFORM_RANK,
-    )
+    return PseudoSample(u=_scaled_ranks(sample.x), v=_scaled_ranks(sample.y))
 
 
-def to_pseudo(sample: RawSample, transform: str = TRANSFORM_RANK,
-              b1: float | None = None, b2: float | None = None) -> PseudoSample:
-    """Dispatch on the configured transform tag."""
+def to_pseudo(sample: RawSample, transform: str = TRANSFORM_RANK) -> PseudoSample:
+    """Dispatch on the configured transform name."""
     if transform == TRANSFORM_RANK:
         return to_pseudo_ranks(sample)
     if transform == TRANSFORM_SMOOTHED:
-        return to_pseudo_smoothed(sample, b1=b1, b2=b2)
+        return to_pseudo_smoothed(sample)
     raise ConfigError(f"unknown transform {transform!r} (expected rank or smoothed)")

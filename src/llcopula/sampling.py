@@ -13,28 +13,23 @@ import numpy as np
 
 from .errors import ConfigError
 from .families import CopulaModel, inverse_conditional
-from .margins import TRANSFORM_DIRECT, PseudoSample
-
-# The one supported generator; numpy guarantees stream stability for a
-# given bit generator, which is what makes seeds portable.
-ALGORITHM_PCG64 = "pcg64"
+from .margins import PseudoSample
 
 
 @dataclass(frozen=True)
 class SeededStream:
-    """A named pseudo-random generator pinned to a 64-bit seed.
+    """A pseudo-random generator pinned to a 64-bit seed.
 
-    Identical (seed, algorithm_tag) produce bit-identical variate sequences.
+    The bit generator is always PCG64; numpy guarantees stream stability for
+    a given bit generator, which is what makes seeds portable.  Identical
+    seeds produce bit-identical variate sequences.
     A stream is single-consumer; for parallel work derive independent
     sub-streams with :meth:`substreams` instead of sharing one generator.
     """
 
     seed: int
-    algorithm_tag: str = ALGORITHM_PCG64
 
     def __post_init__(self):
-        if self.algorithm_tag != ALGORITHM_PCG64:
-            raise ConfigError(f"unsupported generator {self.algorithm_tag!r}; only {ALGORITHM_PCG64}")
         seed = int(self.seed)
         if not 0 <= seed < 2**64:
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {seed}")
@@ -50,7 +45,7 @@ class SeededStream:
         master stream, so the splitting rule is itself deterministic.
         """
         child_seeds = self.generator().integers(0, 2**63, size=k)
-        return [SeededStream(int(s), self.algorithm_tag) for s in child_seeds]
+        return [SeededStream(int(s)) for s in child_seeds]
 
 
 def sample_copula(model: CopulaModel, n: int, stream: SeededStream) -> PseudoSample:
@@ -68,4 +63,4 @@ def sample_copula(model: CopulaModel, n: int, stream: SeededStream) -> PseudoSam
     u = uw[:, 0]
     w = uw[:, 1]
     v = inverse_conditional(model, w, u)
-    return PseudoSample(u=u, v=np.asarray(v, dtype=float), transform_tag=TRANSFORM_DIRECT)
+    return PseudoSample(u=u, v=np.asarray(v, dtype=float))

@@ -10,6 +10,8 @@ with it.  The quadratic bias decay where the curvature is not zero is checked
 on Clayton data in test_estimator.py.
 """
 
+from pathlib import Path
+
 import numpy as np
 from scipy.integrate import quad
 
@@ -179,9 +181,7 @@ def test_gate_07_bias_decay_on_independent_data():
     for label, h in (("h0", h0), ("h0/2", h0 / 2.0)):
         pol = BandwidthPolicy.from_sample_size(n, h_n=h)
         exact = np.mean([
-            ll_copula_estimate(
-                PseudoSample(ranks.u, np.roll(ranks.v, k), ranks.transform_tag), 0.5, 0.5, pol
-            )
+            ll_copula_estimate(PseudoSample(ranks.u, np.roll(ranks.v, k)), 0.5, 0.5, pol)
             for k in range(n)
         ])
         vals = np.array([ll_copula_estimate(s, 0.5, 0.5, pol) for s in samples])
@@ -245,7 +245,7 @@ def test_gate_10_pipeline_determinism(tmp_path):
         assert cli_main(["bands", "--in", s, "--grid", "21", "--out", b]) == 0
         assert cli_main(["plot", "--in", b, "--out", p,
                          "--overlay", "clayton=2", "--overlay", "independence"]) == 0
-        return open(s, "rb").read(), open(b, "rb").read(), open(p, "rb").read()
+        return Path(s).read_bytes(), Path(b).read_bytes(), Path(p).read_bytes()
 
     first = one_pass()
     second = one_pass()

@@ -1,10 +1,14 @@
+import csv
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from llcopula.cli import RunConfig, build_parser, config_from_args, main, validate_config
+from llcopula.fitting import fit_families
 from llcopula.gridio import read_grid_csv, read_pairs_csv
+from llcopula.margins import to_pseudo_ranks
 
 
 def run_cli(*args):
@@ -138,10 +142,25 @@ class TestPipeline:
         run_cli("sample", "--family", "gumbel", "--theta", "1.69", "--n", "500",
                 "--seed", "6", "--out", s)
         assert run_cli("fit", "--in", s, "--out", r) == 0
-        text = open(r).read()
+        text = Path(r).read_text()
         assert text.startswith("family,theta,log_likelihood,applicable,note")
         assert "# selected = " in text
         assert "# tau_hat = " in text
+
+    def test_fit_report_notes_with_commas_keep_five_cells(self, tmp_path):
+        # Inapplicable families carry an error text such as
+        # "gumbel attains tau in (0, 1), got -0.44..." in the note cell.
+        s = str(tmp_path / "s.csv")
+        r = tmp_path / "report.csv"
+        run_cli("sample", "--family", "frank", "--theta", "-5", "--n", "300",
+                "--seed", "1", "--out", s)
+        assert run_cli("fit", "--in", s, "--out", str(r)) == 0
+        lines = [l for l in r.read_text().splitlines() if not l.startswith("#")]
+        rows = list(csv.reader(lines))
+        assert all(len(row) == 5 for row in rows)
+        report = fit_families(to_pseudo_ranks(read_pairs_csv(s)[0]))
+        assert [row[4] for row in rows[1:]] == [row.note for row in report.rows]
+        assert any("," in row.note for row in report.rows)
 
     def test_smoothed_transform_path(self, tmp_path):
         s = str(tmp_path / "s.csv")
@@ -158,7 +177,7 @@ class TestReproduce:
         out = str(tmp_path / "table.csv")
         assert run_cli("reproduce", "--family", "clayton", "--n", "500",
                        "--seed", "41", "--out", out) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         data = [l for l in lines if l and not l.startswith("#") and not l.startswith("theta,")]
         assert len(data) == 30  # 10 points x 3 default parameter values
         thetas = {l.split(",")[0] for l in data}
@@ -170,7 +189,7 @@ class TestReproduce:
         assert run_cli("reproduce", "--family", "frank", "--n", "300", "--seed", "4",
                        "--theta-list", "5", "--out", out) == 0
         data = [
-            l for l in open(out).read().splitlines()
+            l for l in Path(out).read_text().splitlines()
             if l and not l.startswith("#") and not l.startswith("theta,")
         ]
         assert len(data) == 10
@@ -180,7 +199,7 @@ class TestReproduce:
         assert run_cli("reproduce", "--family", "frank", "--n", "400",
                        "--seed", "12", "--out", out) == 0
         data = [
-            l for l in open(out).read().splitlines()
+            l for l in Path(out).read_text().splitlines()
             if l and not l.startswith("#") and not l.startswith("theta,")
         ]
         assert {l.split(",")[0] for l in data} == {"-2", "5", "18"}
@@ -200,7 +219,7 @@ class TestDeterminism:
                     "--seed", "99", "--out", s)
             run_cli("bands", "--in", s, "--grid", "11", "--out", b)
             run_cli("plot", "--in", b, "--out", p, "--overlay", "clayton=2")
-            return open(s, "rb").read(), open(b, "rb").read(), open(p, "rb").read()
+            return Path(s).read_bytes(), Path(b).read_bytes(), Path(p).read_bytes()
 
         first = one_pass()
         second = one_pass()
@@ -220,7 +239,7 @@ class TestPlot:
     def test_svg_format_contract(self, tmp_path, band_file):
         p = str(tmp_path / "fig.svg")
         assert run_cli("plot", "--in", band_file, "--out", p) == 0
-        text = open(p).read()
+        text = Path(p).read_text()
         assert text.startswith("<svg xmlns=")
         assert text.count("<polygon") == 8 * 8
 
@@ -231,7 +250,7 @@ class TestPlot:
             "--overlay", "clayton=1.38", "--overlay", "gumbel=1.69",
             "--overlay", "frank=4.27",
         ) == 0
-        text = open(p).read()
+        text = Path(p).read_text()
         for label in ("clayton theta=1.38", "gumbel theta=1.69", "frank theta=4.27"):
             assert label in text
 

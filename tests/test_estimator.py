@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,12 @@ from llcopula.errors import ConfigError
 from llcopula.estimator import (
     BandwidthPolicy,
     GridEvaluation,
-    effective_bandwidth,
     empirical_copula,
     evaluate_grid,
     ll_copula_estimate,
-    shrink_factor,
 )
 from llcopula.families import CopulaModel, cdf
+from llcopula.kernels import LocalKernel, local_linear_cdf
 from llcopula.margins import PseudoSample, RawSample, to_pseudo_ranks
 from llcopula.sampling import SeededStream, sample_copula
 
@@ -23,6 +24,16 @@ def make_sample(model, n, seed, rank=True):
     if rank:
         return to_pseudo_ranks(RawSample(draws.u, draws.v))
     return draws
+
+
+def without_shrink(pol):
+    return dataclasses.replace(pol, shrink_enabled=False)
+
+
+def joint_bandwidth(u, v, pol):
+    """The paper's joint rule, clamp(h_n * max{min(u,1-u), min(v,1-v)}^alpha)."""
+    factor = max(min(u, 1.0 - u), min(v, 1.0 - v)) ** pol.alpha
+    return min(max(pol.h_n * factor, pol.h_min), pol.h_max)
 
 
 class TestBandwidthPolicy:
@@ -44,62 +55,120 @@ class TestBandwidthPolicy:
             BandwidthPolicy(h_n=-0.1, h_min=0.01, h_max=0.2)
         with pytest.raises(ConfigError):
             BandwidthPolicy(h_n=0.1, h_min=0.01, h_max=0.2, alpha=0.0)
-        # a clamp constant large enough to invert the interval is rejected
-        with pytest.raises(ConfigError):
-            BandwidthPolicy.from_sample_size(100, clamp_constant=20.0)
+
+
+def unclamped(alpha):
+    """h_n = 1 and a clamp interval that only bites at the ends, so the
+    bandwidth reads the shrink factor min(c, 1-c)^alpha itself."""
+    return BandwidthPolicy(h_n=1.0, h_min=1e-12, h_max=0.999, alpha=alpha)
 
 
 class TestShrinkFactor:
     def test_center_value(self):
-        assert shrink_factor(0.5, 0.5, 0.5) == pytest.approx(0.5**0.5, abs=1e-15)
+        assert unclamped(0.5).bandwidth(0.5) == pytest.approx(0.5**0.5, abs=1e-15)
 
     def test_opposite_corners_vanish(self):
         for alpha in (0.3, 0.5, 2.0):
-            assert shrink_factor(0.0, 1.0, alpha) == 0.0
-            assert shrink_factor(1.0, 0.0, alpha) == 0.0
+            pol = unclamped(alpha)
+            assert pol.bandwidth(0.0) == pol.h_min
+            assert pol.bandwidth(1.0) == pol.h_min
 
     def test_edge_reduces_to_single_minimum(self):
+        # The per-axis factor is the paper's joint factor on the edge v = 1.
         for u in (0.1, 0.4, 0.9):
-            alpha = 0.5
-            want = min(u**alpha, (1 - u) ** alpha)
-            assert shrink_factor(u, 1.0, alpha) == pytest.approx(want, abs=1e-15)
+            pol = unclamped(0.5)
+            want = min(u**0.5, (1 - u) ** 0.5)
+            assert pol.bandwidth(u) == pytest.approx(want, abs=1e-15)
+            assert pol.bandwidth(u) == pytest.approx(joint_bandwidth(u, 1.0, pol), abs=1e-15)
 
-    @given(u=st.floats(0, 1), v=st.floats(0, 1), alpha=st.floats(0.05, 3.0))
+    @given(c=st.floats(0, 1), alpha=st.floats(0.05, 3.0))
     @settings(max_examples=200, deadline=None)
-    def test_range(self, u, v, alpha):
-        b = shrink_factor(u, v, alpha)
-        assert 0.0 <= b <= 1.0
+    def test_range(self, c, alpha):
+        pol = unclamped(alpha)
+        assert pol.h_min <= pol.bandwidth(c) <= pol.h_max
 
 
 class TestEffectiveBandwidth:
     def test_corner_clamps_to_floor(self):
         pol = BandwidthPolicy.from_sample_size(1000)
-        assert effective_bandwidth(1.0, 1.0, pol) == pol.h_min
+        assert pol.bandwidth(0.0) == pol.h_min
+        assert pol.bandwidth(1.0) == pol.h_min
 
     def test_center_unclamped(self):
         pol = BandwidthPolicy.from_sample_size(1000)
-        want = pol.h_n * shrink_factor(0.5, 0.5, pol.alpha)
+        want = pol.h_n * 0.5**pol.alpha
         assert pol.h_min < want < pol.h_max
-        assert effective_bandwidth(0.5, 0.5, pol) == pytest.approx(want, abs=1e-16)
+        assert pol.bandwidth(0.5) == pytest.approx(want, abs=1e-16)
+
+    def test_symmetric_about_center(self):
+        for alpha in (0.5, 0.7, 1.3):
+            pol = BandwidthPolicy.from_sample_size(1000, alpha=alpha)
+            for c in (0.01, 0.1, 0.25, 0.3, 0.45):
+                assert pol.bandwidth(c) == pytest.approx(pol.bandwidth(1.0 - c), rel=1e-12)
 
     def test_no_shrink_uses_global_rate(self):
-        pol = BandwidthPolicy.from_sample_size(1000, shrink_enabled=False)
-        assert effective_bandwidth(0.01, 0.99, pol) == pytest.approx(
-            np.clip(pol.h_n, pol.h_min, pol.h_max)
-        )
+        pol = without_shrink(BandwidthPolicy.from_sample_size(1000))
+        want = np.clip(pol.h_n, pol.h_min, pol.h_max)
+        for c in (0.0, 0.01, 0.5, 0.99, 1.0):
+            assert pol.bandwidth(c) == pytest.approx(want)
 
-    @given(u=st.floats(0, 1), v=st.floats(0, 1))
+    def test_rejects_coordinates_outside_unit_interval(self):
+        pol = BandwidthPolicy.from_sample_size(1000)
+        for c in (-0.1, 1.5, np.nan):
+            with pytest.raises(ConfigError):
+                pol.bandwidth(c)
+
+    @given(c=st.floats(0, 1))
     @settings(max_examples=200, deadline=None)
-    def test_always_within_clamp(self, u, v):
+    def test_always_within_clamp(self, c):
         pol = BandwidthPolicy.from_sample_size(200)
-        h = effective_bandwidth(u, v, pol)
+        h = pol.bandwidth(c)
         assert pol.h_min <= h <= pol.h_max
+
+
+class TestPerAxisDeviation:
+    """The estimator gives each axis its own bandwidth, where the paper uses
+    one joint bandwidth h(u, v); both are written out here, apart from the
+    library, so that the deviation and its size stay pinned."""
+
+    N = 1000
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        ps = make_sample(CopulaModel("clayton", 2.0), self.N, 5)
+        pol = BandwidthPolicy.from_sample_size(self.N)
+        return ps, pol, evaluate_grid(ps, 21, pol)
+
+    @staticmethod
+    def factor(coord, data, h):
+        return local_linear_cdf(LocalKernel.at(coord, h), (coord - data) / h)
+
+    def test_grid_is_per_axis_product(self, setup):
+        ps, pol, ge = setup
+
+        def axis_bandwidth(c):
+            factor = np.asarray(min(c, 1.0 - c)) ** pol.alpha
+            return float(np.clip(pol.h_n * factor, pol.h_min, pol.h_max))
+
+        ku = np.stack([self.factor(g, ps.u, axis_bandwidth(g)) for g in ge.grid_u])
+        kv = np.stack([self.factor(g, ps.v, axis_bandwidth(g)) for g in ge.grid_v])
+        assert np.array_equal(ge.values, np.clip(ku @ kv.T / ps.n, 0.0, 1.0))
+
+    def test_close_to_joint_rule(self, setup):
+        ps, pol, ge = setup
+        joint = np.empty_like(ge.values)
+        for i, u in enumerate(ge.grid_u):
+            for j, v in enumerate(ge.grid_v):
+                h = joint_bandwidth(u, v, pol)
+                joint[i, j] = np.mean(self.factor(u, ps.u, h) * self.factor(v, ps.v, h))
+        joint = np.clip(joint, 0.0, 1.0)
+        assert np.abs(ge.values - joint).max() <= 0.01
 
 
 class TestPointEstimate:
     def test_saturated_corners(self):
         # all mass well inside: top corner saturates to 1, bottom to 0
-        ps = PseudoSample(np.linspace(0.3, 0.6, 50), np.linspace(0.35, 0.65, 50), "direct")
+        ps = PseudoSample(np.linspace(0.3, 0.6, 50), np.linspace(0.35, 0.65, 50))
         pol = BandwidthPolicy.from_sample_size(50)
         assert ll_copula_estimate(ps, 1.0, 1.0, pol) == 1.0
         assert ll_copula_estimate(ps, 0.0, 0.0, pol) == 0.0
@@ -137,18 +206,16 @@ class TestPointEstimate:
 
 class TestEmpiricalCopula:
     def test_corners(self):
-        ps = PseudoSample(np.array([0.2, 0.4, 0.9]), np.array([0.3, 0.1, 0.8]), "direct")
+        ps = PseudoSample(np.array([0.2, 0.4, 0.9]), np.array([0.3, 0.1, 0.8]))
         assert empirical_copula(ps, 1.0, 1.0) == 1.0
         assert empirical_copula(ps, 0.0, 0.0) == 0.0
 
     def test_hand_count(self):
-        ps = PseudoSample(
-            np.array([0.25, 0.5, 0.75]), np.array([0.25, 0.5, 0.75]), "direct"
-        )
+        ps = PseudoSample(np.array([0.25, 0.5, 0.75]), np.array([0.25, 0.5, 0.75]))
         assert empirical_copula(ps, 0.5, 0.5) == pytest.approx(2.0 / 3.0)
 
     def test_right_continuity_step(self):
-        ps = PseudoSample(np.array([0.5, 0.7]), np.array([0.5, 0.7]), "direct")
+        ps = PseudoSample(np.array([0.5, 0.7]), np.array([0.5, 0.7]))
         assert empirical_copula(ps, 0.5, 0.5) == 0.5
         assert empirical_copula(ps, 0.5 - 1e-12, 0.5) == 0.0
 
@@ -193,7 +260,7 @@ class TestGridEvaluation:
         # Restricted to nodes whose kernel window stays inside [0, 1]; the
         # boundary-corrected kernels elsewhere may have negative weights.
         ps = make_sample(CopulaModel("clayton", 2.0), 1000, 5)
-        pol = BandwidthPolicy.from_sample_size(1000, shrink_enabled=False)
+        pol = without_shrink(BandwidthPolicy.from_sample_size(1000))
         h = float(np.clip(pol.h_n, pol.h_min, pol.h_max))
         ge = evaluate_grid(ps, 21, pol)
         keep = (ge.grid_u >= h) & (ge.grid_u <= 1 - h)
@@ -208,7 +275,6 @@ class TestGridEvaluation:
                 grid_v=np.linspace(0, 1, 3),
                 values=np.zeros((3, 4)),
                 n=10,
-                policy=BandwidthPolicy.from_sample_size(100),
             )
 
 

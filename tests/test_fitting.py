@@ -11,7 +11,7 @@ from llcopula.sampling import SeededStream, sample_copula
 
 
 def pseudo(u, v):
-    return PseudoSample(np.asarray(u, dtype=float), np.asarray(v, dtype=float), "direct")
+    return PseudoSample(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
 
 def brute_tau(u, v):
@@ -65,7 +65,7 @@ class TestLogLikelihood:
 
     def test_single_point_reduction(self):
         m = CopulaModel("clayton", 2.0)
-        s = PseudoSample(np.array([0.5]), np.array([0.5]), "direct")
+        s = PseudoSample(np.array([0.5]), np.array([0.5]))
         assert log_likelihood(m, s) == pytest.approx(np.log(density(m, 0.5, 0.5)))
 
     def test_floored_terms_counted(self):

@@ -1,4 +1,5 @@
 import ast
+import csv
 import os
 from pathlib import Path
 
@@ -116,7 +117,7 @@ class TestGridCsv:
     def test_two_by_two_row_count(self, tmp_path):
         path = str(tmp_path / "grid.csv")
         write_grid_csv(make_band_grid(k=2), path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         data = [l for l in lines if l and not l.startswith("#") and not l.startswith("u,")]
         assert len(data) == 4
 
@@ -125,7 +126,7 @@ class TestGridCsv:
         write_grid_csv(make_band_grid(k=3), path)
         rows = [
             l.split(",")[:2]
-            for l in open(path).read().splitlines()
+            for l in Path(path).read_text().splitlines()
             if l and not l.startswith("#") and not l.startswith("u,")
         ]
         us = [float(r[0]) for r in rows]
@@ -182,6 +183,15 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         write_csv(str(path), ("a",), [(1,)])
         assert path.read_text() == "a\n1\n"
+
+    def test_row_cells_with_comma_or_quote_are_quoted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [("in (0, 1)", 'say "hi"', "plain")]
+        write_csv(str(path), ("a", "b", "c"), rows, meta={"k": "x, y"})
+        assert path.read_text() == 'a,b,c\n"in (0, 1)","say ""hi""",plain\n# k = x, y\n'
+        with open(path, newline="") as fh:
+            assert next(csv.reader(fh)) == ["a", "b", "c"]
+            assert next(csv.reader(fh)) == list(rows[0])
 
 
 class TestAtomicWrite:

@@ -29,9 +29,12 @@ def test_raw_sample_validation():
 
 def test_pseudo_sample_validation():
     with pytest.raises(ConfigError):
-        PseudoSample(np.array([0.5, 1.5]), np.array([0.5, 0.5]), "rank")
+        PseudoSample(np.array([0.5, 1.5]), np.array([0.5, 0.5]))
+    # NaN compares false with both bounds; it must still fail the range check.
     with pytest.raises(ConfigError):
-        PseudoSample(np.array([0.5]), np.array([0.5]), "bogus")
+        PseudoSample(np.array([0.5, np.nan]), np.array([0.5, 0.5]))
+    with pytest.raises(ConfigError):
+        PseudoSample(np.array([0.5, 0.5]), np.array([np.nan, 0.5]))
 
 
 def test_smoothed_cdf_saturation():
@@ -70,8 +73,7 @@ def test_smoothed_cdf_small_bandwidth_is_empirical():
 
 def test_to_pseudo_smoothed_two_points():
     s = RawSample(np.array([0.0, 10.0]), np.array([0.0, 10.0]))
-    ps = to_pseudo_smoothed(s, 0.5, 0.5)
-    assert ps.transform_tag == "smoothed"
+    ps = to_pseudo_smoothed(s)
     assert (ps.u >= 0).all() and (ps.u <= 1).all()
     assert ps.u[1] > ps.u[0]
     assert ps.v[1] > ps.v[0]
@@ -82,8 +84,12 @@ def test_to_pseudo_smoothed_matches_direct_summation():
     x = rng.normal(size=5)
     y = rng.normal(size=5)
     s = RawSample(x, y)
-    b1, b2 = 0.7, 0.4
-    ps = to_pseudo_smoothed(s, b1, b2)
+    for b in (0.7, 0.4):
+        for i in range(5):
+            direct = np.mean(epanechnikov_cdf((x[i] - x) / b))
+            assert smoothed_marginal_cdf(x, b, x[i]) == pytest.approx(direct, abs=1e-12)
+    ps = to_pseudo_smoothed(s)
+    b1, b2 = default_margin_bandwidth(x), default_margin_bandwidth(y)
     for i in range(5):
         direct_u = np.mean(epanechnikov_cdf((x[i] - x) / b1))
         direct_v = np.mean(epanechnikov_cdf((y[i] - y) / b2))
@@ -104,7 +110,6 @@ def test_ranks_hand_example():
     s = RawSample(np.array([5.0, 1.0, 9.0]), np.array([1.0, 2.0, 3.0]))
     ps = to_pseudo_ranks(s)
     assert np.allclose(ps.u, [0.5, 0.25, 0.75])
-    assert ps.transform_tag == "rank"
 
 
 def test_ranks_maximum_and_ties():
@@ -140,7 +145,7 @@ def test_rank_invariance_under_monotone_maps(seed):
 def test_to_pseudo_dispatch():
     rng = np.random.default_rng(2)
     s = RawSample(rng.normal(size=10), rng.normal(size=10))
-    assert to_pseudo(s).transform_tag == "rank"
-    assert to_pseudo(s, "smoothed").transform_tag == "smoothed"
+    assert np.array_equal(to_pseudo(s).u, to_pseudo_ranks(s).u)
+    assert np.array_equal(to_pseudo(s, "smoothed").u, to_pseudo_smoothed(s).u)
     with pytest.raises(ConfigError):
         to_pseudo(s, "direct")
