@@ -6,8 +6,13 @@ bandwidth of its own coordinate c, clamp(h_n * min(c, 1-c)^alpha, h_min,
 h_max).  This per-axis rule is a deliberate deviation from the paper's joint
 bandwidth clamp(h_n * max{min(u, 1-u), min(v, 1-v)}^alpha, h_min, h_max): it
 keeps the factor of a grid row independent of the column, so the whole grid
-is a single matrix product.  The unsmoothed empirical copula is provided as the
-desk-scale oracle.
+is a single matrix product.  A factor is exactly 1 or 0 outside its kernel
+window, so each factor row is built on the data sorted once
+(``kernels.SortedColumn``): the polynomial is evaluated only at the window's
+points, not at all n, the rest of the row is filled with ones and zeros, and
+the row is scattered back to sample order.  Every value stays bitwise equal
+to evaluating the kernel at all n points.  The unsmoothed empirical copula is
+provided as the desk-scale oracle.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import unwrap
 from .errors import ConfigError
-from .kernels import LocalKernel, local_linear_cdf
+from .kernels import LocalKernel, SortedColumn, local_linear_cdf
 from .margins import PseudoSample
 
 
@@ -70,10 +76,13 @@ class BandwidthPolicy:
         return float(np.clip(self.h_n * factor, self.h_min, self.h_max))
 
 
-def _axis_factor(coord: float, data: np.ndarray, policy: BandwidthPolicy) -> np.ndarray:
-    """Integrated-kernel factor K((coord - data)/h) at h = policy.bandwidth(coord)."""
+def _axis_factor(coord: float, data: SortedColumn, policy: BandwidthPolicy, out: np.ndarray) -> np.ndarray:
+    """Integrated-kernel factor K((coord - X_i)/h) at h = policy.bandwidth(coord),
+    written into ``out`` in sample order."""
     h = policy.bandwidth(coord)
-    return local_linear_cdf(LocalKernel.at(coord, h), (coord - data) / h)
+    kern = LocalKernel.at(coord, h)
+    a, b = data.window(coord, h, kern.moments.lo, kern.moments.hi)
+    return data.factor(a, b, local_linear_cdf(kern, (coord - data.values[a:b]) / h), out)
 
 
 def ll_copula_estimate(sample: PseudoSample, u, v, policy: BandwidthPolicy):
@@ -89,13 +98,13 @@ def ll_copula_estimate(sample: PseudoSample, u, v, policy: BandwidthPolicy):
         raise ConfigError("u and v must be paired arrays of equal shape")
     if (u < 0).any() or (u > 1).any() or (v < 0).any() or (v > 1).any():
         raise ConfigError("evaluation points must lie in the unit square")
+    su, sv = SortedColumn.of(sample.u), SortedColumn.of(sample.v)
+    fu, fv = np.empty(sample.n), np.empty(sample.n)
     flat = np.empty(u.size)
     for i, (uu, vv) in enumerate(zip(u.ravel(), v.ravel())):
-        fu = _axis_factor(uu, sample.u, policy)
-        fv = _axis_factor(vv, sample.v, policy)
-        flat[i] = np.mean(fu * fv)
+        flat[i] = np.mean(_axis_factor(uu, su, policy, fu) * _axis_factor(vv, sv, policy, fv))
     out = np.clip(flat.reshape(u.shape), 0.0, 1.0)
-    return float(out[0]) if scalar else out
+    return unwrap(out, scalar)
 
 
 @dataclass(frozen=True)
@@ -120,6 +129,15 @@ class GridEvaluation:
             raise ConfigError("grid evaluation contains non-finite values")
 
 
+def _factor_matrix(coords: np.ndarray, data: np.ndarray, policy: BandwidthPolicy) -> np.ndarray:
+    """Rows of ``_axis_factor``, one per coordinate, on the data sorted once."""
+    col = SortedColumn.of(data)
+    rows = np.empty((len(coords), len(data)))
+    for c, row in zip(coords, rows):
+        _axis_factor(c, col, policy, row)
+    return rows
+
+
 def evaluate_grid(sample: PseudoSample, grid_size: int, policy: BandwidthPolicy) -> GridEvaluation:
     """Estimate on a uniform lattice including both endpoints.
 
@@ -130,20 +148,19 @@ def evaluate_grid(sample: PseudoSample, grid_size: int, policy: BandwidthPolicy)
     if grid_size < 2:
         raise ConfigError(f"grid size must be >= 2, got {grid_size}")
     grid = np.linspace(0.0, 1.0, grid_size)
-    ku = np.stack([_axis_factor(g, sample.u, policy) for g in grid])
-    kv = np.stack([_axis_factor(g, sample.v, policy) for g in grid])
+    ku = _factor_matrix(grid, sample.u, policy)
+    kv = _factor_matrix(grid, sample.v, policy)
     values = np.clip(ku @ kv.T / sample.n, 0.0, 1.0)
     return GridEvaluation(grid_u=grid, grid_v=grid, values=values, n=sample.n)
 
 
 def empirical_copula(sample: PseudoSample, u, v):
-    """Unsmoothed indicator-average estimate (right-continuous step function)."""
+    """Unsmoothed indicator-average estimate (right-continuous step function).
+
+    One pass over the sample per query point, so memory stays O(n).
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     u, v = np.broadcast_arrays(u, v)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    v = np.atleast_1d(v)
-    hits = (sample.u <= u[..., None]) & (sample.v <= v[..., None])
-    out = hits.mean(axis=-1)
-    return float(out[0]) if scalar else out
+    out = np.array([np.mean((sample.u <= a) & (sample.v <= b)) for a, b in zip(u.ravel(), v.ravel())])
+    return unwrap(out.reshape(u.shape), u.ndim == 0)

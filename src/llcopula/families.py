@@ -16,6 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from ._arrays import unwrap
 from .errors import ConfigError, NumericalError
 
 CLAYTON = "clayton"
@@ -158,7 +159,7 @@ def cdf(model: CopulaModel, u, v):
         out = _frank_cdf(model.theta, u, v)
     else:
         out = _gumbel_cdf(model.theta, u, v)
-    return float(out[0]) if scalar else out
+    return unwrap(out, scalar)
 
 
 def density(model: CopulaModel, u, v):
@@ -207,7 +208,7 @@ def density(model: CopulaModel, u, v):
             - np.log(v)
         )
         out = np.exp(log_c)
-    return float(out[0]) if scalar else out
+    return unwrap(out, scalar)
 
 
 def conditional_cdf(model: CopulaModel, v, given_u):
@@ -238,7 +239,7 @@ def conditional_cdf(model: CopulaModel, v, given_u):
         y = -np.log(vi)
         s = _gumbel_s(theta, x, y)
         out[inner] = np.exp(-s + (1.0 - theta) * np.log(s) + (theta - 1.0) * np.log(x) - np.log(ui))
-    return float(out[0]) if scalar else out
+    return unwrap(out, scalar)
 
 
 def inverse_conditional(model: CopulaModel, w, given_u):
@@ -276,7 +277,7 @@ def inverse_conditional(model: CopulaModel, w, given_u):
             tol=1e-12,
         )
     out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if scalar else out
+    return unwrap(out, scalar)
 
 
 def _invert_monotone(f, df, w, tol=1e-10, max_iter=200, lo=1e-12, hi=None):

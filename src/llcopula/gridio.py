@@ -9,6 +9,7 @@ a unique temp file in the target directory, then an atomic rename.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -72,7 +73,11 @@ def _parse_meta_line(line: str) -> tuple[str, str]:
 
 
 def read_pairs_csv(path: str) -> tuple[RawSample, CsvDiagnostics]:
-    """Read two numeric columns; blanks and comments are skipped and counted."""
+    """Read two numeric columns; blanks and comments are skipped and counted.
+
+    A non-numeric or non-finite (nan, inf) cell raises ``InputError`` with
+    its ``path:line``.
+    """
     if not os.path.exists(path):
         raise InputError(f"no such file: {path}")
     xs: list[float] = []
@@ -99,6 +104,8 @@ def read_pairs_csv(path: str) -> tuple[RawSample, CsvDiagnostics]:
                     header_skipped = True
                     continue
                 raise InputError(f"{path}:{lineno}: non-numeric cell {cells!r}") from None
+            if not (math.isfinite(xs[-1]) and math.isfinite(ys[-1])):
+                raise InputError(f"{path}:{lineno}: non-finite cell {cells!r}")
     if len(xs) < 2:
         raise InputError(f"{path}: need at least 2 data rows, found {len(xs)}")
     sample = RawSample(x=np.array(xs), y=np.array(ys))
@@ -120,7 +127,10 @@ def write_grid_csv(grid: BandGrid, path: str) -> None:
 
 
 def read_grid_csv(path: str) -> BandGrid:
-    """Parse a band grid file back into an identical BandGrid."""
+    """Parse a band grid file back into an identical BandGrid.
+
+    A non-numeric or non-finite cell raises ``InputError`` with its ``path:line``.
+    """
     if not os.path.exists(path):
         raise InputError(f"no such file: {path}")
     rows: list[tuple[float, ...]] = []
@@ -151,6 +161,8 @@ def read_grid_csv(path: str) -> BandGrid:
                 rows.append(tuple(float(c) for c in cells))
             except ValueError:
                 raise InputError(f"{path}:{lineno}: non-numeric cell {cells!r}") from None
+            if not all(map(math.isfinite, rows[-1])):
+                raise InputError(f"{path}:{lineno}: non-finite cell {cells!r}")
     if not rows:
         raise InputError(f"{path}: no data rows")
     if "halfwidth" not in meta:

@@ -93,6 +93,15 @@ class TestPipeline:
         assert code == 3
         assert "error:input:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", ["nan,0.5\n0.2,0.3\n0.4,0.1\n", "0.2,0.3\n1,inf\n0.4,0.1\n"])
+    def test_non_finite_cell_exits_as_input_error(self, tmp_path, capsys, rows):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(rows)
+        code = run_cli("estimate", "--in", str(pairs), "--out", str(tmp_path / "o.csv"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "error:input:" in err and f"{pairs}:" in err and "non-finite" in err
+
     def test_estimate_grid_is_degenerate_band(self, tmp_path):
         s = str(tmp_path / "s.csv")
         e = str(tmp_path / "e.csv")

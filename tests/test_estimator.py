@@ -9,6 +9,7 @@ from llcopula.errors import ConfigError
 from llcopula.estimator import (
     BandwidthPolicy,
     GridEvaluation,
+    _factor_matrix,
     empirical_copula,
     evaluate_grid,
     ll_copula_estimate,
@@ -163,6 +164,60 @@ class TestPerAxisDeviation:
                 joint[i, j] = np.mean(self.factor(u, ps.u, h) * self.factor(v, ps.v, h))
         joint = np.clip(joint, 0.0, 1.0)
         assert np.abs(ge.values - joint).max() <= 0.01
+
+
+def dense_factor(coord, data, pol):
+    """The factor evaluated at every data point: the oracle for the windowed rows."""
+    h = pol.bandwidth(coord)
+    return local_linear_cdf(LocalKernel.at(coord, h), (coord - data) / h)
+
+
+@st.composite
+def parity_case(draw):
+    """A policy, a grid and a pseudo-sample whose points sit on the hard cases:
+    ties, exactly 0 and 1, and exactly on the kernel-window edges of grid nodes."""
+    n = draw(st.integers(16, 60))
+    pol = BandwidthPolicy.from_sample_size(
+        n, h_n=draw(st.sampled_from([None, 0.05, 0.4])), alpha=draw(st.sampled_from([0.5, 1.3]))
+    )
+    if draw(st.booleans()):
+        pol = without_shrink(pol)
+    grid = np.linspace(0.0, 1.0, draw(st.integers(2, 12)))
+    edges = [0.0, 1.0]
+    for g in grid:
+        h = pol.bandwidth(g)
+        m = LocalKernel.at(g, h).moments
+        edges += [g - h * m.hi, g - h * m.lo, np.nextafter(g - h * m.lo, 2.0)]
+    edges = [e for e in edges if 0.0 <= e <= 1.0]
+    point = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0))
+    u = np.array(draw(st.lists(point, min_size=n, max_size=n)))
+    v = np.array(draw(st.lists(point, min_size=n, max_size=n)))
+    return PseudoSample(u, v), pol, grid
+
+
+class TestWindowedParity:
+    """Factor rows are evaluated only inside the kernel window on sorted data;
+    every value must still equal the kernel evaluated at all n points, bitwise."""
+
+    @given(case=parity_case())
+    @settings(max_examples=60, deadline=None)
+    def test_factor_matrix_and_grid_match_dense_oracle(self, case):
+        ps, pol, grid = case
+        ku = np.stack([dense_factor(g, ps.u, pol) for g in grid])
+        kv = np.stack([dense_factor(g, ps.v, pol) for g in grid])
+        assert np.array_equal(_factor_matrix(grid, ps.u, pol), ku)
+        assert np.array_equal(_factor_matrix(grid, ps.v, pol), kv)
+        ge = evaluate_grid(ps, len(grid), pol)
+        assert np.array_equal(ge.values, np.clip(ku @ kv.T / ps.n, 0.0, 1.0))
+
+    @given(case=parity_case())
+    @settings(max_examples=25, deadline=None)
+    def test_point_estimates_match_dense_oracle(self, case):
+        ps, pol, grid = case
+        uu, vv = np.meshgrid(grid, grid[::-1], indexing="ij")
+        want = [np.mean(dense_factor(a, ps.u, pol) * dense_factor(b, ps.v, pol)) for a, b in zip(uu.ravel(), vv.ravel())]
+        got = ll_copula_estimate(ps, uu, vv, pol)
+        assert np.array_equal(got, np.clip(np.array(want).reshape(uu.shape), 0.0, 1.0))
 
 
 class TestPointEstimate:

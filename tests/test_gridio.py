@@ -72,6 +72,13 @@ class TestPairsCsv:
         with pytest.raises(InputError, match=":2:"):
             read_pairs_csv(str(path))
 
+    @pytest.mark.parametrize("row", ["nan,0.5", "1,inf", "-inf,0.2", "0.3,NaN"])
+    def test_non_finite_cell_reports_line(self, tmp_path, row):
+        path = tmp_path / "pairs.csv"
+        path.write_text(f"0.1,0.2\n{row}\n0.3,0.4\n")
+        with pytest.raises(InputError, match=":2: non-finite"):
+            read_pairs_csv(str(path))
+
     def test_wrong_column_count_reports_line(self, tmp_path):
         path = tmp_path / "pairs.csv"
         path.write_text("0.1,0.2\n0.3,0.4,0.5\n")
@@ -141,6 +148,13 @@ class TestGridCsv:
         path = tmp_path / "grid.csv"
         path.write_text("u,v,estimate,lower,upper\n0,0,0.1,0.0,0.2\n")
         with pytest.raises(InputError, match="halfwidth"):
+            read_grid_csv(str(path))
+
+    @pytest.mark.parametrize("row", ["0,0,nan,0.0,0.2", "0,0,0.1,-inf,0.2"])
+    def test_non_finite_cell_reports_line(self, tmp_path, row):
+        path = tmp_path / "grid.csv"
+        path.write_text(f"u,v,estimate,lower,upper\n0,1,0.1,0.0,0.2\n{row}\n# halfwidth = 0.1\n")
+        with pytest.raises(InputError, match=":3: non-finite"):
             read_grid_csv(str(path))
 
     def test_malformed_metadata(self, tmp_path):

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from llcopula.errors import ConfigError, DegenerateKernelError
 from llcopula.kernels import (
     LocalKernel,
+    SortedColumn,
     epanechnikov,
     epanechnikov_cdf,
     kernel_moments,
@@ -223,3 +224,35 @@ def test_kernel_construction_invariants(u, h):
     assert m.det > 0
     assert local_linear_cdf(kern, m.hi) == 1.0
     assert local_linear_cdf(kern, m.lo) == 0.0
+
+
+@given(
+    x=st.floats(-50.0, 50.0),
+    h=st.floats(1e-6, 5.0),
+    support=st.sampled_from([(-1.0, 1.0), (-1.0, 0.3), (-0.2, 1.0), (-0.7, 0.0)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_sorted_window_leaves_only_flat_terms_outside(x, h, support, seed):
+    # Data packed around both window edges, down to single ulps, where the
+    # rounding of (x - X)/h decides which side of the support a point is on.
+    lo, hi = support
+    rng = np.random.default_rng(seed)
+    edges = np.array([x - h * hi, x - h * lo])
+    near = edges[:, None] + np.linspace(-1e-12, 1e-12, 41) * (abs(x) + h)
+    ulps = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+    data = np.concatenate([near.ravel(), ulps, x + h * rng.uniform(-3.0, 3.0, 20)])
+    shuffled = rng.permutation(data)
+    col = SortedColumn.of(shuffled)
+    assert np.array_equal(col.values, shuffled[col.order])
+    assert (np.diff(col.values) >= 0).all()
+    a, b = col.window(x, h, lo, hi)
+    t = (x - col.values) / h
+    assert a <= b
+    assert (t[:a] >= hi).all()
+    assert (t[b:] <= lo).all()
+    # factor writes each term back to its data position
+    row = col.factor(a, b, np.arange(a, b) + 0.5, np.empty(data.size))
+    pos = np.empty(data.size, dtype=int)
+    pos[col.order] = np.arange(data.size)
+    assert np.array_equal(row, np.where(pos < a, 1.0, np.where(pos < b, pos + 0.5, 0.0)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,69 @@ def test_smoothed_cdf_small_bandwidth_is_empirical():
     emp = (values[None, :] <= xs[:, None]).mean(axis=1)
     out = smoothed_marginal_cdf(values, 1e-8, xs)
     assert np.allclose(out, emp, atol=1e-12)
+
+
+def dense_smoothed_cdf(values, b, x):
+    """Every query against every point: the O(n^2) oracle for the windowed sums."""
+    return epanechnikov_cdf((np.asarray(x)[..., None] - values) / b).mean(axis=-1)
+
+
+@st.composite
+def smoothed_case(draw):
+    """Values with ties and exact 0 and 1; queries at the data, on the window
+    edges x_i +- b, and beyond the sample +- b."""
+    b = draw(st.sampled_from([1e-3, 0.05, 0.3, 2.0]))
+    base = draw(st.lists(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(-3.0, 3.0), min_size=1, max_size=40))
+    values = np.array(base + base[: draw(st.integers(0, len(base)))])
+    edges = np.concatenate([values, values - b, values + b, np.nextafter(values + b, -np.inf)])
+    extra = np.array(draw(st.lists(st.floats(-5.0, 5.0), max_size=10)))
+    return values, b, np.concatenate([edges, extra])
+
+
+@given(case=smoothed_case())
+@settings(max_examples=100, deadline=None)
+def test_smoothed_cdf_matches_dense_sum(case):
+    values, b, x = case
+    assert np.abs(smoothed_marginal_cdf(values, b, x) - dense_smoothed_cdf(values, b, x)).max() <= 1e-15
+    # Beyond the sample +- b by more than the rounding of x - X_i.
+    lo, hi = values.min() - b, values.max() + b
+    gap = 1e-12 * (1.0 + b + np.abs(values).max())
+    below = smoothed_marginal_cdf(values, b, np.array([lo - gap, lo - 1.0, -np.inf]))
+    above = smoothed_marginal_cdf(values, b, np.array([hi + gap, hi + 1.0, np.inf]))
+    assert list(below) == [0.0] * 3
+    assert list(above) == [1.0] * 3
+
+
+def test_smoothed_cdf_keeps_query_shape():
+    values = np.array([0.3, -1.2, 2.0, 0.9])
+    x = np.linspace(-2.0, 3.0, 12).reshape(3, 4)
+    out = smoothed_marginal_cdf(values, 0.5, x)
+    assert out.shape == (3, 4)
+    assert np.abs(out - dense_smoothed_cdf(values, 0.5, x)).max() <= 1e-15
+    assert smoothed_marginal_cdf(values, 0.5, np.empty(0)).shape == (0,)
+    assert isinstance(smoothed_marginal_cdf(values, 0.5, 0.1), float)
+
+
+def test_smoothed_cdf_rejects_nan():
+    with pytest.raises(ConfigError):
+        smoothed_marginal_cdf([0.0, np.nan, 1.0], 0.5, 0.2)
+    with pytest.raises(ConfigError):
+        smoothed_marginal_cdf([0.0, 1.0], 0.5, [0.2, np.nan])
+
+
+def test_to_pseudo_smoothed_memory_is_not_quadratic():
+    # An n x n float64 temporary at n = 2e4 would take 3.2 GB.
+    rng = np.random.default_rng(7)
+    u = rng.random(20_000)
+    s = RawSample(np.expm1(2.5 * u), -np.log1p(-0.995 * rng.random(20_000)))
+    tracemalloc.start()
+    try:
+        ps = to_pseudo_smoothed(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert ps.n == 20_000 and ps.u.min() > 0.0 and ps.u.max() < 1.0
 
 
 def test_to_pseudo_smoothed_two_points():
