@@ -5,16 +5,16 @@ given the first coordinate, its inverse, and the Kendall-tau <-> parameter
 maps.  Frank quantities are evaluated through exp/expm1 groupings chosen so
 that no catastrophic cancellation occurs anywhere on the supported parameter
 range; Clayton and Gumbel work in log space where their powers would
-overflow.
+overflow.  Frank's tau and the Debye function behind it come from two series
+to a few ulps, and tau is inverted by bisection to 1 ulp; numpy alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from ._arrays import unwrap
 from .errors import ConfigError, NumericalError
@@ -316,35 +316,39 @@ def _invert_monotone(f, df, w, tol=1e-10, max_iter=200, lo=1e-12, hi=None):
     return v
 
 
-def debye1(x: float) -> float:
-    """Debye function of order 1: (1/x) * int_0^x t / (e^t - 1) dt.
+# c_k = 4 B_2k / ((2k + 1) (2k)!), k = 1..15, from mpmath's Bernoulli numbers at
+# 40 digits: Frank's tau = sum_k c_k theta^(2k-1), a Taylor series of radius 2 pi.
+_FRANK_TAU_SERIES = np.array([
+    0.1111111111111111, -0.0011111111111111111, 1.889644746787604e-05, -3.6743092298647856e-07,
+    7.5915479955884e-09, -1.6259046580576902e-10, 3.568676408182581e-12, -7.97571834428843e-14,
+    1.8075920118479673e-15, -4.142607044872499e-17, 9.580874484104748e-19,
+    -2.2327143497300036e-20, 5.236603021673285e-22, -1.2349679209706961e-23, 2.926390261080881e-25,
+])
 
-    The integrand's removable singularity at 0 is patched by its limit 1;
-    negative arguments use D1(-y) = D1(y) + y/2.
+
+def debye1(x: float) -> float:
+    """Debye function of order 1: (1/x) * int_0^x t / (e^t - 1) dt, to a few ulps.
+
+    Below |x| = 2 it is 1 - (x/4)(1 - tau(x)) with Frank's tau series; from 2 up it
+    is (pi^2/6 - sum_{k<=20} e^(-kx) (x/k + 1/k^2)) / x (Abramowitz & Stegun 1964,
+    27.1).  Negative arguments use D1(-y) = D1(y) + y/2.
     """
     x = float(x)
-    if x == 0.0:
-        return 1.0
-    if x < 0.0:
+    if x <= -2.0:
         return debye1(-x) - x / 2.0
-    val, _ = quad(_debye_integrand, 0.0, x, limit=200)
-    return val / x
-
-
-def _debye_integrand(t):
-    if t == 0.0:
-        return 1.0
-    denom = np.expm1(t)
-    if not np.isfinite(denom):
+    if x < 2.0:
+        return 1.0 - x / 4.0 * (1.0 - _frank_tau(x))
+    if x == np.inf:
         return 0.0
-    return t / denom
+    k = np.arange(1.0, 21.0)
+    return float((np.pi**2 / 6.0 - np.sum(np.exp(-k * x) * (x / k + 1.0 / (k * k)))) / x)
 
 
 def _frank_tau(theta: float) -> float:
-    # Series below 1e-4 avoids the 1 - D1 cancellation at tiny theta.
-    if abs(theta) < 1e-4:
-        return theta / 9.0 - theta**3 / 900.0
-    return 1.0 - 4.0 / theta * (1.0 - debye1(theta))
+    """Frank's tau (Genest 1987): Taylor series below |theta| = 2, else 1 - (4/theta)(1 - D1)."""
+    if abs(theta) < 2.0:
+        return float(theta * np.polyval(_FRANK_TAU_SERIES[::-1], theta * theta))
+    return math.copysign(1.0 - 4.0 / abs(theta) * (1.0 - debye1(abs(theta))), theta)
 
 
 def tau_from_theta(model: CopulaModel) -> float:
@@ -365,7 +369,7 @@ def frank_tau_bound() -> float:
 
 
 def theta_from_tau(family: str, tau: float) -> float:
-    """Invert the Kendall-tau map; Frank uses a monotone root-find."""
+    """Invert the Kendall-tau map; Frank by bisection to 1 ulp."""
     family = str(family).lower()
     tau = float(tau)
     if family == INDEPENDENCE:
@@ -389,16 +393,9 @@ def theta_from_tau(family: str, tau: float) -> float:
                 f"|tau| = {abs(tau):.6f} exceeds the numerically supported frank range "
                 f"(|tau| < {bound:.6f})"
             )
-        target = abs(tau)
-        if target < _frank_tau(1e-8):
-            return np.sign(tau) * 9.0 * target
-        theta = brentq(
-            lambda th: _frank_tau(th) - target,
-            1e-8,
-            FRANK_THETA_MAX,
-            xtol=1e-13,
-            rtol=8.9e-16,
-            maxiter=200,
-        )
-        return float(np.sign(tau) * theta)
+        # Bisect to 1 ulp, until the midpoint is an end; tau(hi) >= |tau| and hi > 0.
+        target, lo, hi = abs(tau), 0.0, FRANK_THETA_MAX
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if _frank_tau(mid) < target else (lo, mid)
+        return math.copysign(hi, tau)
     raise ConfigError(f"unknown copula family {family!r}")

@@ -129,7 +129,7 @@ def write_grid_csv(grid: BandGrid, path: str) -> None:
 def read_grid_csv(path: str) -> BandGrid:
     """Parse a band grid file back into an identical BandGrid.
 
-    A non-numeric or non-finite cell raises ``InputError`` with its ``path:line``.
+    A non-numeric or non-finite cell or halfwidth raises ``InputError`` at its ``path:line``.
     """
     if not os.path.exists(path):
         raise InputError(f"no such file: {path}")
@@ -145,6 +145,12 @@ def read_grid_csv(path: str) -> BandGrid:
                 key, value = _parse_meta_line(line)
                 if not key:
                     raise InputError(f"{path}:{lineno}: malformed metadata line")
+                try:
+                    finite = key != "halfwidth" or math.isfinite(float(value))
+                except ValueError:
+                    finite = False
+                if not finite:
+                    raise InputError(f"{path}:{lineno}: halfwidth must be a finite number, got {value!r}")
                 meta[key] = value
                 continue
             cells = [c.strip() for c in line.split(",")]
@@ -167,10 +173,6 @@ def read_grid_csv(path: str) -> BandGrid:
         raise InputError(f"{path}: no data rows")
     if "halfwidth" not in meta:
         raise InputError(f"{path}: metadata block is missing the halfwidth entry")
-    try:
-        halfwidth = float(meta["halfwidth"])
-    except ValueError:
-        raise InputError(f"{path}: malformed halfwidth metadata {meta['halfwidth']!r}") from None
     data = np.array(rows)
     grid_u = np.unique(data[:, 0])
     grid_v = np.unique(data[:, 1])
@@ -188,6 +190,6 @@ def read_grid_csv(path: str) -> BandGrid:
         estimate=data[:, 2].reshape(shape),
         lower=data[:, 3].reshape(shape),
         upper=data[:, 4].reshape(shape),
-        halfwidth=halfwidth,
+        halfwidth=float(meta["halfwidth"]),
         meta={k: v for k, v in meta.items() if k != "halfwidth"} or None,
     )

@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -263,6 +266,17 @@ class TestPlot:
         for label in ("clayton theta=1.38", "gumbel theta=1.69", "frank theta=4.27"):
             assert label in text
 
+    def test_non_finite_halfwidth_exits_as_input_error(self, tmp_path, band_file, capsys):
+        lines = Path(band_file).read_text().splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("# halfwidth = "))
+        lines[at] = "# halfwidth = nan"
+        Path(band_file).write_text("\n".join(lines) + "\n")
+        p = tmp_path / "fig.svg"
+        assert run_cli("plot", "--in", band_file, "--out", str(p)) == 3
+        err = capsys.readouterr().err
+        assert f"error:input: {band_file}:{at + 1}: halfwidth" in err
+        assert not p.exists()
+
     def test_too_many_overlays(self, band_file, capsys):
         code = run_cli(
             "plot", "--in", band_file, "--out", "/tmp/x.svg",
@@ -271,3 +285,14 @@ class TestPlot:
         )
         assert code == 2
         assert "at most 3" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency.  A fresh interpreter also sees
+    # scipy pulled in indirectly, which a scan of import statements would miss.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, llcopula.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

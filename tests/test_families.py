@@ -17,7 +17,7 @@ from llcopula.families import (
     theta_from_tau,
 )
 
-from reference_tables import CLAYTON_TABLE, FRANK_TABLE
+from reference_tables import CLAYTON_TABLE, DEBYE1_TABLE, FRANK_TABLE, FRANK_TAU_TABLE
 
 MODELS = [
     CopulaModel("clayton", 0.5),
@@ -270,6 +270,20 @@ class TestTauMaps:
         # value frozen from the oracle; ~0.412, not far above the 0.408 target
         assert got == pytest.approx(0.41208897204, abs=1e-9)
 
+    def test_frank_tau_matches_mpmath_table(self):
+        # theta from 1e-6 to 350, both signs, through the series/closed-form switch at 2
+        theta, ref = np.array(FRANK_TAU_TABLE).T
+        got = np.array([tau_from_theta(CopulaModel("frank", t)) for t in theta])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 2e-15
+
+    def test_frank_inversion_recovers_theta(self):
+        for theta in np.logspace(-6.0, np.log10(349.0), 50):
+            for t in (theta, -theta):
+                back = theta_from_tau("frank", tau_from_theta(CopulaModel("frank", t)))
+                assert back == pytest.approx(t, rel=1e-13, abs=0.0)
+        # the bisection never returns theta = 0, which no Frank model accepts
+        assert CopulaModel("frank", theta_from_tau("frank", 5e-324)).theta > 0.0
+
     def test_frank_tau_odd(self):
         assert tau_from_theta(CopulaModel("frank", -5.0)) == pytest.approx(
             -tau_from_theta(CopulaModel("frank", 5.0)), abs=1e-12
@@ -328,3 +342,15 @@ class TestDebye:
     def test_negative_reflection(self):
         x = 2.0
         assert debye1(-x) == pytest.approx(debye1(x) + x / 2.0, abs=1e-12)
+
+    def test_matches_mpmath_table(self):
+        # x from 1e-6 to 1e6 and negative x; the old quadrature returned
+        # 2.2e-48 at x = 1e5, missing the integrand's mass near 0
+        x, ref = np.array(DEBYE1_TABLE).T
+        got = np.array([debye1(v) for v in x])
+        assert np.max(np.abs(got - ref) / ref) <= 2e-15
+
+    def test_limits(self):
+        assert debye1(np.inf) == 0.0
+        assert debye1(-np.inf) == np.inf
+        assert np.isnan(debye1(np.nan))

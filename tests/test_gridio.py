@@ -157,6 +157,13 @@ class TestGridCsv:
         with pytest.raises(InputError, match=":3: non-finite"):
             read_grid_csv(str(path))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "wide"])
+    def test_non_finite_halfwidth_reports_line(self, tmp_path, value):
+        path = tmp_path / "grid.csv"
+        path.write_text(f"u,v,estimate,lower,upper\n0,0,0.1,0.0,0.2\n# seed = 7\n# halfwidth = {value}\n")
+        with pytest.raises(InputError, match=":4: halfwidth must be a finite number"):
+            read_grid_csv(str(path))
+
     def test_malformed_metadata(self, tmp_path):
         path = tmp_path / "grid.csv"
         path.write_text("u,v,estimate,lower,upper\n0,0,0.1,0.0,0.2\n# = broken\n")
