@@ -2,7 +2,9 @@
 
 Every output file carries a trailing metadata block echoing the full run
 configuration, and all randomness flows from the single --seed flag, so a
-run is reproducible byte for byte from its command line.
+run is reproducible byte for byte from its command line.  Each subcommand
+accepts only the flags it reads (the ``_FLAGS`` table); any other flag is an
+argparse usage error, exit code 2.
 """
 
 from __future__ import annotations
@@ -117,8 +119,6 @@ def validate_config(config: RunConfig) -> list[str]:
         problems.append(f"rate constant must satisfy 0 < A_c <= 3, got {config.A_c}")
     if config.epsilon < 0:
         problems.append(f"inflation must be nonnegative, got {config.epsilon}")
-    if config.transform not in ("rank", "smoothed"):
-        problems.append(f"transform must be rank or smoothed, got {config.transform!r}")
     if config.command in ("estimate", "bands", "fit", "plot") and not config.input_path:
         problems.append(f"{config.command} requires --in")
     if config.command != "fit" and not config.output_path:
@@ -254,13 +254,35 @@ def cmd_reproduce(config: RunConfig) -> int:
 
 
 _COMMANDS = {
-    "sample": cmd_sample,
-    "estimate": cmd_estimate,
-    "bands": cmd_bands,
-    "fit": cmd_fit,
-    "plot": cmd_plot,
-    "reproduce": cmd_reproduce,
+    "sample": (cmd_sample, "draw from a parametric copula"),
+    "estimate": (cmd_estimate, "smoothed copula estimate on a grid"),
+    "bands": (cmd_bands, "estimate plus confidence bands"),
+    "fit": (cmd_fit, "tau-inversion fits and likelihood ranking"),
+    "plot": (cmd_plot, "render a band grid as SVG"),
+    "reproduce": (cmd_reproduce, "containment tables for simulated data"),
 }
+
+# Each flag, its argparse arguments and the subcommands that read it; any
+# other subcommand rejects it as a usage error.
+_FLAGS = (
+    ("--family", dict(type=str), "sample reproduce"),
+    ("--theta", dict(type=float), "sample"),
+    ("--n", dict(type=int), "sample reproduce"),
+    ("--seed", dict(type=int), "sample reproduce"),
+    ("--grid", dict(type=int, dest="grid_size"), "estimate bands"),
+    ("--alpha", dict(type=float, help="shrink exponent"), "estimate bands reproduce"),
+    ("--hn", dict(type=float, dest="h_n", help="global bandwidth override"), "estimate bands reproduce"),
+    ("--Ac", dict(type=float, dest="A_c", help="band rate constant"), "bands reproduce"),
+    ("--epsilon", dict(type=float), "bands reproduce"),
+    ("--transform", dict(choices=("rank", "smoothed")), "estimate bands fit reproduce"),
+    ("--clip", dict(action="store_true", help="clip bands to the copula envelope"), "bands"),
+    ("--in", dict(type=str, dest="input_path"), "estimate bands fit plot"),
+    ("--out", dict(type=str, dest="output_path"), "sample estimate bands fit plot reproduce"),
+    ("--overlay", dict(action="append", dest="overlays",
+                       help="family=theta curve to draw, repeatable up to 3 times"), "plot"),
+    ("--theta-list", dict(type=float, nargs="+", dest="thetas",
+                          help="override the per-family default parameter list"), "reproduce"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,43 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Local-linear kernel copula estimation with simultaneous confidence bands.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name, summary, *, needs_in=False):
+    for name, (_, summary) in _COMMANDS.items():
         # Unset flags stay out of the namespace; RunConfig holds the defaults.
-        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-        p.add_argument("--family", type=str)
-        p.add_argument("--theta", type=float)
-        p.add_argument("--n", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--grid", type=int, dest="grid_size")
-        p.add_argument("--alpha", type=float, help="shrink exponent")
-        p.add_argument("--hn", type=float, dest="h_n", help="global bandwidth override")
-        p.add_argument("--Ac", type=float, dest="A_c", help="band rate constant")
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--transform", choices=("rank", "smoothed"))
-        p.add_argument("--clip", action="store_true", help="clip bands to the copula envelope")
-        if needs_in:
-            p.add_argument("--in", type=str, dest="input_path")
-        p.add_argument("--out", type=str, dest="output_path")
-        return p
-
-    add_command("sample", "draw from a parametric copula")
-    add_command("estimate", "smoothed copula estimate on a grid", needs_in=True)
-    add_command("bands", "estimate plus confidence bands", needs_in=True)
-    add_command("fit", "tau-inversion fits and likelihood ranking", needs_in=True)
-    add_command("plot", "render a band grid as SVG", needs_in=True).add_argument(
-        "--overlay",
-        action="append",
-        dest="overlays",
-        help="family=theta curve to draw, repeatable up to 3 times",
-    )
-    add_command("reproduce", "containment tables for simulated data").add_argument(
-        "--theta-list",
-        type=float,
-        nargs="+",
-        dest="thetas",
-        help="override the per-family default parameter list",
-    )
+        # No abbreviations: reproduce would read --theta as --theta-list.
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS, allow_abbrev=False)
+        for flag, kwargs, commands in _FLAGS:
+            if name in commands.split():
+                p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -326,7 +318,7 @@ def main(argv=None) -> int:
             print(f"error:config: {problem}", file=sys.stderr)
         return EXIT_CODES["config"]
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[config.command][0](config)
     except LLCopulaError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
         return EXIT_CODES.get(exc.category, 1)

@@ -381,8 +381,8 @@ def theta_from_tau(family: str, tau: float) -> float:
             raise ConfigError(f"clayton attains tau in (0, 1), got {tau}")
         return 2.0 * tau / (1.0 - tau)
     if family == GUMBEL:
-        if not 0.0 < tau < 1.0:
-            raise ConfigError(f"gumbel attains tau in (0, 1), got {tau}")
+        if not 0.0 <= tau < 1.0:
+            raise ConfigError(f"gumbel attains tau in [0, 1), got {tau}")
         return 1.0 / (1.0 - tau)
     if family == FRANK:
         if not -1.0 < tau < 1.0 or tau == 0.0:

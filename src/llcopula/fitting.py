@@ -31,46 +31,34 @@ DENSITY_FLOOR = 1e-300
 DEFAULT_FAMILIES = (CLAYTON, GUMBEL, FRANK)
 
 
-def _merge_count(values: np.ndarray) -> int:
-    """Number of strictly decreasing pairs (i < j with values[i] > values[j])."""
-    values = list(values)
-    n = len(values)
-    if n < 2:
-        return 0
-    buf = values[:]
+def _tied_pairs(counts: np.ndarray) -> int:
+    return int((counts * (counts - 1)).sum()) // 2
+
+
+def _discordant_pairs(ys: np.ndarray) -> int:
+    """Pairs i < j with ys[i] > ys[j], for integer ys in [0, n).
+
+    A bottom-up merge sort (Knight 1966, JASA 61) with one sort and one
+    searchsorted per level.  At width w each w-block is sorted, so keyed by
+    2w-block * n + value the left halves form one sorted array.  A right-half
+    value y in 2w-block b follows (b + 1) * w left elements in blocks up to
+    its own; searchsorted counts those keyed <= b * n + y, and the rest are
+    the left elements of its block greater than y.  Sorting the keys then
+    merges each pair of halves.
+    """
+    n = len(ys)
+    pos = np.arange(n)
     count = 0
     width = 1
     while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if values[j] < values[i]:
-                    count += mid - i
-                    buf[k] = values[j]
-                    j += 1
-                else:
-                    buf[k] = values[i]
-                    i += 1
-                k += 1
-            buf[k:hi] = values[i:mid] if i < mid else values[j:hi]
-        values, buf = buf, values
+        block = pos // (2 * width)
+        keys = block * n + ys
+        right = (pos // width) % 2 == 1
+        below = np.searchsorted(keys[~right], keys[right], side="right")
+        count += int(((block[right] + 1) * width - below).sum())
+        ys = np.sort(keys, kind="stable") - block * n
         width *= 2
     return count
-
-
-def _tie_pair_count(sorted_values) -> int:
-    total = 0
-    run = 1
-    for prev, cur in zip(sorted_values, sorted_values[1:]):
-        if cur == prev:
-            run += 1
-        else:
-            total += run * (run - 1) // 2
-            run = 1
-    total += run * (run - 1) // 2
-    return total
 
 
 def empirical_kendall_tau(sample: PseudoSample) -> float:
@@ -78,17 +66,15 @@ def empirical_kendall_tau(sample: PseudoSample) -> float:
     n = sample.n
     if n < 2:
         raise ConfigError(f"kendall tau needs n >= 2, got {n}")
-    order = np.lexsort((sample.v, sample.u))
-    xs = sample.u[order]
-    ys = sample.v[order]
+    _, ru, count_u = np.unique(sample.u, return_inverse=True, return_counts=True)
+    _, rv, count_v = np.unique(sample.v, return_inverse=True, return_counts=True)
+    joint = ru * n + rv
     n0 = n * (n - 1) // 2
-    tie_x = _tie_pair_count(xs.tolist())
-    tie_y = _tie_pair_count(np.sort(sample.v).tolist())
-    tie_xy = _tie_pair_count(list(zip(xs.tolist(), ys.tolist())))
-    # x-ties are ordered by y, so inversions in ys are exactly the discordant
-    # pairs among those distinct in both coordinates.
-    discordant = _merge_count(ys.tolist())
-    s = n0 - tie_x - tie_y + tie_xy - 2 * discordant
+    tie_xy = _tied_pairs(np.unique(joint, return_counts=True)[1])
+    # Sorted by (u, v), x-ties are ordered by v, so inversions of the v ranks
+    # are exactly the discordant pairs among those distinct in both coordinates.
+    discordant = _discordant_pairs(np.sort(joint) % n)
+    s = n0 - _tied_pairs(count_u) - _tied_pairs(count_v) + tie_xy - 2 * discordant
     return s / n0
 
 

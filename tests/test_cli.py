@@ -1,3 +1,4 @@
+import argparse
 import csv
 import os
 import subprocess
@@ -22,13 +23,13 @@ class TestValidation:
     def test_all_problems_listed(self, capsys):
         code = run_cli(
             "sample", "--family", "clayton", "--theta", "-1", "--n", "0",
-            "--grid", "1", "--out", "/tmp/never.csv",
+            "--seed", "-1", "--out", "/tmp/never.csv",
         )
         err = capsys.readouterr().err
         assert code == 2
         assert "clayton parameter" in err
         assert "sample size" in err
-        assert "grid size" in err
+        assert "seed" in err
 
     def test_unknown_family(self, capsys):
         code = run_cli("sample", "--family", "gauss", "--theta", "1", "--out", "/tmp/x.csv")
@@ -53,32 +54,79 @@ def parse(*argv):
     return config_from_args(build_parser().parse_args(list(argv)))
 
 
+# Each flag's command-line arguments and the RunConfig fields they set.
+FLAG_VALUES = {
+    "--family": (["frank"], dict(family="frank")),
+    "--theta": (["5"], dict(theta=5.0)),
+    "--n": (["40"], dict(n=40)),
+    "--seed": (["9"], dict(seed=9)),
+    "--grid": (["7"], dict(grid_size=7)),
+    "--alpha": (["0.7"], dict(alpha=0.7)),
+    "--hn": (["0.2"], dict(h_n=0.2)),
+    "--Ac": (["2.5"], dict(A_c=2.5)),
+    "--epsilon": (["0.1"], dict(epsilon=0.1)),
+    "--transform": (["smoothed"], dict(transform="smoothed")),
+    "--clip": ([], dict(clip=True)),
+    "--in": (["b.csv"], dict(input_path="b.csv")),
+    "--out": (["o.csv"], dict(output_path="o.csv")),
+    "--overlay": (["clayton=2", "--overlay", "independence"],
+                  dict(overlays=("clayton=2", "independence"))),
+    "--theta-list": (["0.5", "7"], dict(thetas=(0.5, 7.0))),
+}
+
+# The flags each subcommand reads: 36 (subcommand, flag) pairs.
+READS = {
+    "sample": "--family --theta --n --seed --out".split(),
+    "estimate": "--in --out --grid --alpha --hn --transform".split(),
+    "bands": "--in --out --grid --alpha --hn --Ac --epsilon --transform --clip".split(),
+    "fit": "--in --out --transform".split(),
+    "plot": "--in --out --overlay".split(),
+    "reproduce": ("--family --theta-list --n --seed --out --alpha --hn --Ac --epsilon "
+                  "--transform").split(),
+}
+
+UNREAD = [(cmd, flag) for cmd in READS for flag in FLAG_VALUES if flag not in READS[cmd]]
+
+
 class TestFlags:
-    SHARED = [
-        "--family", "frank", "--theta", "5", "--n", "40", "--seed", "9", "--grid", "7",
-        "--alpha", "0.7", "--hn", "0.2", "--Ac", "2.5", "--epsilon", "0.1",
-        "--transform", "smoothed", "--clip", "--out", "o.csv",
-    ]
-    SHARED_FIELDS = dict(
-        family="frank", theta=5.0, n=40, seed=9, grid_size=7, alpha=0.7, h_n=0.2,
-        A_c=2.5, epsilon=0.1, transform="smoothed", clip=True, output_path="o.csv",
-    )
+    def test_parser_accepts_exactly_the_flags_read(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        accepted = {
+            command: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+            for command, p in sub.choices.items()
+        }
+        assert accepted == {command: sorted(flags) for command, flags in READS.items()}
+        assert sum(map(len, accepted.values())) == 36
 
     def test_unset_flags_take_run_config_defaults(self):
         assert parse("sample", "--out", "x") == RunConfig(command="sample", output_path="x")
 
     def test_every_flag_fills_its_field(self):
-        plot = parse("plot", *self.SHARED, "--in", "b.csv",
-                     "--overlay", "clayton=2", "--overlay", "independence")
-        assert plot == RunConfig(command="plot", input_path="b.csv",
-                                 overlays=("clayton=2", "independence"), **self.SHARED_FIELDS)
-        repro = parse("reproduce", *self.SHARED, "--theta-list", "0.5", "7")
-        assert repro == RunConfig(command="reproduce", thetas=(0.5, 7.0), **self.SHARED_FIELDS)
-        # between them the two command lines move every field off its default
+        for command, flags in READS.items():
+            argv, expected = [command], {}
+            for flag in flags:
+                args, values = FLAG_VALUES[flag]
+                argv += [flag, *args]
+                expected.update(values)
+            assert parse(*argv) == RunConfig(command=command, **expected), command
+        # between them the flags move every field off its default
         default = RunConfig(command="sample")
-        for f in fields(RunConfig):
-            unset = getattr(default, f.name)
-            assert getattr(plot, f.name) != unset or getattr(repro, f.name) != unset, f.name
+        moved = {name for _, values in FLAG_VALUES.values()
+                 for name, value in values.items() if getattr(default, name) != value}
+        assert moved == {f.name for f in fields(RunConfig)} - {"command"}
+
+    @pytest.mark.parametrize("command,flag", UNREAD)
+    def test_unread_flag_is_a_usage_error(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(command, flag, *FLAG_VALUES[flag][0])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_no_abbreviations(self, capsys):
+        # With abbreviations on, reproduce would read --theta as --theta-list.
+        with pytest.raises(SystemExit) as exc:
+            parse("sample", "--fam", "frank")
+        assert exc.value.code == 2
 
 
 class TestPipeline:
@@ -122,14 +170,13 @@ class TestPipeline:
         b = str(tmp_path / "b.csv")
         run_cli("sample", "--family", "clayton", "--theta", "2", "--n", "300",
                 "--seed", "11", "--out", s)
-        assert run_cli("bands", "--in", s, "--grid", "9", "--seed", "11",
-                       "--Ac", "2.5", "--out", b) == 0
+        assert run_cli("bands", "--in", s, "--grid", "9", "--Ac", "2.5", "--out", b) == 0
         grid = read_grid_csv(b)
         assert np.array_equal(grid.upper, grid.estimate + grid.halfwidth)
         # metadata reconstructs the effective run configuration (n is the
         # actual sample size) plus the derived bandwidth policy
         expected = RunConfig(
-            command="bands", family=None, theta=None, n=300, seed=11,
+            command="bands", family=None, theta=None, n=300, seed=0,
             grid_size=9, alpha=0.5, h_n=None, A_c=2.5, epsilon=0.0,
             transform="rank", clip=False, input_path=s, output_path=b,
         ).as_meta()
@@ -148,6 +195,17 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "selected: clayton" in out
 
+    def test_fit_at_tau_zero_selects_independent_gumbel(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("0.1,0.2\n0.2,0.4\n0.3,0.1\n0.4,0.3\n")
+        assert run_cli("fit", "--in", str(pairs)) == 0
+        out = capsys.readouterr().out
+        assert "empirical kendall tau: 0.000000" in out
+        rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[2:-1]}
+        assert rows["gumbel"] == ["1.0000", "0.0000"]
+        assert rows["clayton"][:2] == ["-", "n/a"] and rows["frank"][:2] == ["-", "n/a"]
+        assert "selected: gumbel" in out
+
     def test_fit_report_file(self, tmp_path):
         s = str(tmp_path / "s.csv")
         r = str(tmp_path / "report.csv")
@@ -161,7 +219,7 @@ class TestPipeline:
 
     def test_fit_report_notes_with_commas_keep_five_cells(self, tmp_path):
         # Inapplicable families carry an error text such as
-        # "gumbel attains tau in (0, 1), got -0.44..." in the note cell.
+        # "gumbel attains tau in [0, 1), got -0.44..." in the note cell.
         s = str(tmp_path / "s.csv")
         r = tmp_path / "report.csv"
         run_cli("sample", "--family", "frank", "--theta", "-5", "--n", "300",

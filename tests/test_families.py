@@ -299,9 +299,11 @@ class TestTauMaps:
         assert 4.0 < theta < 4.6
 
     def test_range_rejections(self):
+        with pytest.raises(ConfigError):
+            theta_from_tau("clayton", 0.0)
+        # gumbel reaches tau = 0 at theta = 1, the independence copula
+        assert theta_from_tau("gumbel", 0.0) == 1.0
         for family in ("clayton", "gumbel"):
-            with pytest.raises(ConfigError):
-                theta_from_tau(family, 0.0)
             with pytest.raises(ConfigError):
                 theta_from_tau(family, 1.0)
             with pytest.raises(ConfigError):

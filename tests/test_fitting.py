@@ -39,7 +39,7 @@ class TestKendallTau:
         with pytest.raises(ConfigError):
             empirical_kendall_tau(pseudo([0.5], [0.5]))
 
-    @given(st.integers(0, 2**32 - 1), st.integers(5, 60))
+    @given(st.integers(0, 2**32 - 1), st.integers(5, 400))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force_with_ties(self, seed, n):
         rng = np.random.default_rng(seed)
@@ -47,7 +47,7 @@ class TestKendallTau:
         u = rng.integers(0, 6, n) / 10.0 + 0.1
         v = rng.integers(0, 6, n) / 10.0 + 0.1
         s = pseudo(u, v)
-        assert empirical_kendall_tau(s) == pytest.approx(brute_tau(u, v), abs=1e-12)
+        assert empirical_kendall_tau(s) == brute_tau(u, v)
 
     def test_invariant_under_monotone_transforms(self):
         rng = np.random.default_rng(77)
