@@ -100,11 +100,10 @@ def validate_config(config: RunConfig) -> list[str]:
             problems.append(str(exc))
         if config.n < 1:
             problems.append(f"sample size must be >= 1, got {config.n}")
-    if config.command == "reproduce" and config.thetas is not None:
-        family = config.family if config.family in REPRODUCE_THETAS else CLAYTON
+    if config.command == "reproduce" and config.family in REPRODUCE_THETAS and config.thetas is not None:
         for theta in config.thetas:
             try:
-                CopulaModel(family, theta)
+                CopulaModel(config.family, theta)
             except ConfigError as exc:
                 problems.append(str(exc))
     if not 0 <= config.seed < 2**64:

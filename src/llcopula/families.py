@@ -260,9 +260,17 @@ def inverse_conditional(model: CopulaModel, w, given_u):
     if model.family == INDEPENDENCE:
         out = w.copy()
     elif model.family == CLAYTON:
+        # v = (1 + grow)^(-1/theta).  Where grow overflows (large theta, small
+        # u) that form gives v = 0; there log v = -softplus(L)/theta, L = log(grow).
+        y = -theta / (1.0 + theta) * np.log(w)
         with np.errstate(over="ignore"):
-            grow = np.exp(-theta * np.log(u)) * np.expm1(-theta / (1.0 + theta) * np.log(w))
+            grow = np.exp(-theta * np.log(u)) * np.expm1(y)
         out = np.exp(-np.log1p(grow) / theta)
+        big = np.isinf(grow)
+        if big.any():
+            yb = y[big]
+            log_grow = -theta * np.log(u[big]) + yb + np.log(-np.expm1(-yb))
+            out[big] = np.exp(-np.logaddexp(0.0, log_grow) / theta)
     elif model.family == FRANK:
         eu = np.exp(-theta * u)
         num = w * np.exp(-theta) + (1.0 - w) * eu

@@ -31,6 +31,18 @@ class TestValidation:
         assert "sample size" in err
         assert "seed" in err
 
+    def test_theta_list_checked_only_for_its_family(self, capsys):
+        code = run_cli(
+            "reproduce", "--family", "gumbel", "--n", "0", "--theta-list", "-1",
+            "--out", "/tmp/never.csv",
+        )
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert lines == [
+            "error:config: reproduce supports --family clayton or frank",
+            "error:config: sample size must be >= 1, got 0",
+        ]
+
     def test_unknown_family(self, capsys):
         code = run_cli("sample", "--family", "gauss", "--theta", "1", "--out", "/tmp/x.csv")
         assert code == 2

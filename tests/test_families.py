@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,6 +237,28 @@ class TestInverseConditional:
         w = np.clip(conditional_cdf(model, v, u), 1e-12, 1 - 1e-12)
         back = inverse_conditional(model, w, u)
         assert np.abs(back - v).max() <= 1e-8
+
+    @pytest.mark.parametrize("theta", [2.0, 100.0, 300.0, 1000.0])
+    def test_clayton_where_the_grown_term_overflows(self, theta):
+        rng = np.random.default_rng(3)
+        u = np.concatenate([rng.random(600), 10.0 ** -rng.uniform(0, 15, 600)])
+        w = np.concatenate([rng.uniform(1e-12, 1.0, 900), 1.0 - 10.0 ** -rng.uniform(1, 15, 300)])
+        got = inverse_conditional(CopulaModel("clayton", theta), w, u)
+        # The plain form, kept bit for bit wherever its grown term is finite.
+        with np.errstate(over="ignore"):
+            grow = np.exp(-theta * np.log(u)) * np.expm1(-theta / (1.0 + theta) * np.log(w))
+        finite = np.isfinite(grow)
+        plain = np.exp(-np.log1p(grow[finite]) / theta)
+        assert np.array_equal(got[finite], np.clip(plain, 0.0, 1.0))
+        assert theta == 2.0 or not finite.all()
+        # Elsewhere v = (1 + u^-theta (w^(-theta/(1+theta)) - 1))^(-1/theta), at 40 digits.
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            t = decimal.Decimal(theta)
+            for ui, wi, vi in zip(u[~finite], w[~finite], got[~finite]):
+                lu, lw = decimal.Decimal(ui).ln(), decimal.Decimal(wi).ln()
+                g = (-t * lu).exp() * ((-t / (1 + t) * lw).exp() - 1)
+                assert vi == pytest.approx(float((-(1 + g).ln() / t).exp()), rel=4e-15)
 
     def test_rejects_boundary_inputs(self):
         with pytest.raises(ConfigError):

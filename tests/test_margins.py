@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llcopula import kernels, margins
 from llcopula.errors import ConfigError
 from llcopula.kernels import epanechnikov_cdf
 from llcopula.margins import (
@@ -80,13 +82,17 @@ def dense_smoothed_cdf(values, b, x):
 
 @st.composite
 def smoothed_case(draw):
-    """Values with ties and exact 0 and 1; queries at the data, on the window
-    edges x_i +- b, and beyond the sample +- b."""
+    """Values with ties and exact 0 and 1, tie-heavy when rounded, and offset
+    by 0 or +-1e6; queries at the data, on the window edges x_i +- b, and
+    beyond the sample +- b."""
     b = draw(st.sampled_from([1e-3, 0.05, 0.3, 2.0]))
     base = draw(st.lists(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(-3.0, 3.0), min_size=1, max_size=40))
     values = np.array(base + base[: draw(st.integers(0, len(base)))])
+    decimals = draw(st.sampled_from([None, 1, 0]))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    values = (values if decimals is None else np.round(values, decimals)) + offset
     edges = np.concatenate([values, values - b, values + b, np.nextafter(values + b, -np.inf)])
-    extra = np.array(draw(st.lists(st.floats(-5.0, 5.0), max_size=10)))
+    extra = np.array(draw(st.lists(st.floats(-5.0, 5.0), max_size=10))) + offset
     return values, b, np.concatenate([edges, extra])
 
 
@@ -104,6 +110,46 @@ def test_smoothed_cdf_matches_dense_sum(case):
     assert list(above) == [1.0] * 3
 
 
+def count_kernel_elements(monkeypatch):
+    """Count the array elements handed to any ``llcopula.kernels`` function or
+    ``SortedColumn`` method, called through ``kernels`` or through a name
+    that ``margins`` imported from it."""
+    counted = [0]
+
+    def counting(f):
+        def wrapper(*args, **kwargs):
+            counted[0] += sum(a.size for a in args if isinstance(a, np.ndarray))
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for module in (kernels, margins):
+        for name, obj in list(vars(module).items()):
+            if inspect.isfunction(obj) and obj.__module__ == kernels.__name__:
+                monkeypatch.setattr(module, name, counting(obj))
+    for name in ("of", "window", "factor"):
+        monkeypatch.setattr(kernels.SortedColumn, name, counting(getattr(kernels.SortedColumn, name)))
+    return counted
+
+
+@pytest.mark.parametrize("column", ["lognormal", "ties", "offset"])
+def test_smoothed_cdf_at_scale(column, monkeypatch):
+    n = 100_000
+    rng = np.random.default_rng(11)
+    z = rng.normal(size=n)
+    values = {"lognormal": np.exp(z), "ties": np.round(z, 2), "offset": z + 1e6}[column]
+    b = default_margin_bandwidth(values)
+    counted = count_kernel_elements(monkeypatch)
+    at_data = smoothed_marginal_cdf(values, b, values)
+    # Per-term sums would hand the kernels about n * n^(2/3) elements.
+    assert counted[0] <= 8 * n
+    picked = rng.choice(n, 200, replace=False)
+    x = np.concatenate([values[picked], values[picked] - b, values[picked] + b])
+    got = np.concatenate([at_data[picked], smoothed_marginal_cdf(values, b, x[200:])])
+    dense = np.concatenate([dense_smoothed_cdf(values, b, chunk) for chunk in np.split(x, 30)])
+    assert np.abs(got - dense).max() <= 1e-15
+
+
 def test_smoothed_cdf_keeps_query_shape():
     values = np.array([0.3, -1.2, 2.0, 0.9])
     x = np.linspace(-2.0, 3.0, 12).reshape(3, 4)
@@ -119,6 +165,9 @@ def test_smoothed_cdf_rejects_nan():
         smoothed_marginal_cdf([0.0, np.nan, 1.0], 0.5, 0.2)
     with pytest.raises(ConfigError):
         smoothed_marginal_cdf([0.0, 1.0], 0.5, [0.2, np.nan])
+    # An infinite sample value would poison the block power sums.
+    with pytest.raises(ConfigError):
+        smoothed_marginal_cdf([-np.inf, 0.0, 1.0], 0.5, 0.2)
 
 
 def test_to_pseudo_smoothed_memory_is_not_quadratic():
