@@ -8,11 +8,12 @@ bandwidth clamp(h_n * max{min(u, 1-u), min(v, 1-v)}^alpha, h_min, h_max): it
 keeps the factor of a grid row independent of the column, so the whole grid
 is a single matrix product.  A factor is exactly 1 or 0 outside its kernel
 window, so each factor row is built on the data sorted once
-(``kernels.SortedColumn``): the polynomial is evaluated only at the window's
-points, not at all n, the rest of the row is filled with ones and zeros, and
-the row is scattered back to sample order.  Every value stays bitwise equal
-to evaluating the kernel at all n points.  The unsmoothed empirical copula is
-provided as the desk-scale oracle.
+(``kernels.SortedColumn``): the local-linear CDF is evaluated only at the
+window's points, not at all n, the ones and zeros are written in sample order
+by comparing each point's rank with the window's start, and only the window's
+values are scattered to their sample positions.  Every value stays bitwise
+equal to evaluating the kernel at all n points.  The unsmoothed empirical
+copula is provided as the desk-scale oracle.
 """
 
 from __future__ import annotations

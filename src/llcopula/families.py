@@ -75,11 +75,15 @@ def _check_range(arr, name, strict=False):
 
 
 def _log_abs_expm1(z):
-    """log|e^z - 1|, stable for any z."""
-    z = np.asarray(z, dtype=float)
+    """log|e^z - 1| = max(z, 0) + log(1 - e^-|z|), stable for any z.
+
+    log(1 - e^-a) is log(-expm1(-a)) for a <= log 2 and log1p(-exp(-a))
+    above (Maechler 2012, "Accurately computing log(1 - exp(-|a|))").
+    """
+    a = np.abs(np.asarray(z, dtype=float))
     with np.errstate(divide="ignore"):
-        out = np.maximum(z, 0.0) + np.log1p(-np.exp(-np.abs(z)))
-    return out
+        log1mexp = np.where(a <= np.log(2.0), np.log(-np.expm1(-a)), np.log1p(-np.exp(-a)))
+    return np.maximum(z, 0.0) + log1mexp
 
 
 def _frank_denom(theta, u, v):
@@ -105,13 +109,26 @@ def _boundary_frame(u, v, interior_value):
     return out
 
 
+def _clayton_log_sum(theta, u, v):
+    """log(u^-theta + v^-theta - 1) with the larger power factored out."""
+    a = -theta * np.log(u)
+    b = -theta * np.log(v)
+    m = np.maximum(a, b)
+    return m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m))
+
+
 def _clayton_cdf(theta, u, v):
     out = np.zeros_like(u)
     inner = (u > 0.0) & (v > 0.0) & (u < 1.0) & (v < 1.0)
     ui, vi = u[inner], v[inner]
     with np.errstate(over="ignore"):
         a = np.exp(-theta * np.log(ui)) + np.exp(-theta * np.log(vi)) - 1.0
-    out[inner] = np.exp(-np.log(a) / theta)
+    c = np.exp(-np.log(a) / theta)
+    # Where a power overflows (large theta, small u or v) that form gives 0.
+    big = np.isinf(a)
+    if big.any():
+        c[big] = np.exp(-_clayton_log_sum(theta, ui[big], vi[big]) / theta)
+    out[inner] = c
     return _boundary_frame(u, v, out)
 
 
@@ -176,14 +193,10 @@ def density(model: CopulaModel, u, v):
     if model.family == INDEPENDENCE:
         out = np.ones_like(u)
     elif model.family == CLAYTON:
-        a = -theta * np.log(u)
-        b = -theta * np.log(v)
-        m = np.maximum(a, b)
-        log_sum = m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m))
         log_c = (
             np.log1p(theta)
             - (theta + 1.0) * (np.log(u) + np.log(v))
-            - (2.0 + 1.0 / theta) * log_sum
+            - (2.0 + 1.0 / theta) * _clayton_log_sum(theta, u, v)
         )
         out = np.exp(log_c)
     elif model.family == FRANK:
@@ -228,10 +241,17 @@ def conditional_cdf(model: CopulaModel, v, given_u):
     if model.family == INDEPENDENCE:
         out[inner] = vi
     elif model.family == CLAYTON:
-        # (1 + u^theta (v^-theta - 1))^(-(theta+1)/theta)
-        with np.errstate(over="ignore"):
+        # (1 + grow)^(-(theta+1)/theta), grow = u^theta (v^-theta - 1).  Where
+        # v^-theta overflows, grow is inf or 0 * inf; there use L = log(grow):
+        # log(1 + grow) = softplus(L).
+        with np.errstate(over="ignore", invalid="ignore"):
             grow = np.exp(theta * np.log(ui)) * np.expm1(-theta * np.log(vi))
-        out[inner] = np.exp(-(theta + 1.0) / theta * np.log1p(grow))
+        c = np.exp(-(theta + 1.0) / theta * np.log1p(grow))
+        big = ~np.isfinite(grow)
+        if big.any():
+            log_grow = theta * np.log(ui[big]) + _log_abs_expm1(-theta * np.log(vi[big]))
+            c[big] = np.exp(-(theta + 1.0) / theta * np.logaddexp(0.0, log_grow))
+        out[inner] = c
     elif model.family == FRANK:
         out[inner] = np.exp(-theta * ui) * np.expm1(-theta * vi) / _frank_denom(theta, ui, vi)
     else:

@@ -2,12 +2,15 @@
 
 Everything here is a closed-form piecewise polynomial: the truncated moments
 are antiderivatives of ``t^j * k(t)`` evaluated on the effective support, and
-the local-linear CDF integrates ``k(t) * (a2 - a1 t)`` termwise.  Numerical
-quadrature is used only as an independent oracle in the test suite.
+the local-linear CDF integrates ``k(t) * (a2 - a1 t)`` into one quartic,
+evaluated by Horner's rule.  Numerical quadrature is used only as an
+independent oracle in the test suite.
 
 Both integrated kernels are flat outside their support, so ``SortedColumn``
 turns a sum over the data into a count plus a sum over one sorted window;
-the estimator's factor rows and the smoothed margins both use it.
+the estimator's factor rows and the smoothed margins both use it.  A factor
+row is filled in sample order from the points' ranks, and only its window is
+scattered.
 """
 
 from __future__ import annotations
@@ -127,12 +130,23 @@ def local_linear_density(kern: LocalKernel, t):
 def local_linear_cdf(kern: LocalKernel, x):
     """Integral of the corrected density from -inf to x, in closed form.
 
-    Exactly 0 for x <= lo and exactly 1 for x >= hi.
+    On [lo, hi] it is (a2 (P0(x) - P0(lo)) - a1 (P1(x) - P1(lo))) / det with
+    P0, P1 = ``_prim0``, ``_prim1``: the quartic c0 + c1 x + ... + c4 x^4,
+    evaluated by Horner's rule.  Multiplications only, because ``x**k``
+    calls ``pow``, which is slow for negative x.  Exactly 0 for x <= lo and
+    exactly 1 for x >= hi.
     """
     m = kern.moments
+    c1, c2 = 0.75 * m.a2 / m.det, -0.375 * m.a1 / m.det
+    c3, c4 = -0.25 * m.a2 / m.det, 0.1875 * m.a1 / m.det
+    c0 = -m.lo * (c1 + m.lo * (c2 + m.lo * (c3 + m.lo * c4)))
     x = np.asarray(x, dtype=float)
     xc = np.clip(x, m.lo, m.hi)
-    val = (m.a2 * (_prim0(xc) - _prim0(m.lo)) - m.a1 * (_prim1(xc) - _prim1(m.lo))) / m.det
+    val = xc * c4
+    for c in (c3, c2, c1):
+        val += c
+        val *= xc
+    val += c0
     out = np.where(x <= m.lo, 0.0, np.where(x >= m.hi, 1.0, val))
     return unwrap(out, out.ndim == 0)
 
@@ -157,13 +171,17 @@ class SortedColumn:
 
     values: np.ndarray  # ascending
     order: np.ndarray  # values[k] is data[order[k]]
+    rank: np.ndarray  # the inverse of order: rank[order[k]] = k
 
     @classmethod
     def of(cls, data) -> "SortedColumn":
         # Tied points give equal terms, so their order within values is free.
         data = np.asarray(data, dtype=float)
         order = np.argsort(data)
-        return cls(values=data[order], order=order)
+        # The narrowest type that holds n: ``factor`` reads all of rank per row.
+        rank = np.empty(order.size, dtype=np.min_scalar_type(order.size))
+        rank[order] = np.arange(order.size)
+        return cls(values=data[order], order=order, rank=rank)
 
     def window(self, x, h, lo, hi):
         """Index range [a, b) outside which K((x - X)/h) is flat; vectorised over x.
@@ -179,9 +197,11 @@ class SortedColumn:
 
     def factor(self, a, b, inside, out):
         """Write one factor row into ``out`` in data order: 1 for values[:a],
-        ``inside`` for values[a:b] and 0 for values[b:]."""
-        row = np.zeros(self.values.size)
-        row[:a] = 1.0
-        row[a:b] = inside
-        out[self.order] = row
+        ``inside`` for values[a:b] and 0 for values[b:].
+
+        The ones and zeros come from comparing each point's rank with a, so
+        only the window's b - a terms are scattered."""
+        # A Python int keeps the comparison in rank's narrow type.
+        np.less(self.rank, int(a), out=out)
+        out[self.order[a:b]] = inside
         return out

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from llcopula.estimator import (
     ll_copula_estimate,
 )
 from llcopula.families import CopulaModel, cdf
-from llcopula.kernels import LocalKernel, local_linear_cdf
+from llcopula.kernels import LocalKernel, SortedColumn, local_linear_cdf
 from llcopula.margins import PseudoSample, RawSample, to_pseudo_ranks
 from llcopula.sampling import SeededStream, sample_copula
 
@@ -218,6 +219,52 @@ class TestWindowedParity:
         want = [np.mean(dense_factor(a, ps.u, pol) * dense_factor(b, ps.v, pol)) for a, b in zip(uu.ravel(), vv.ravel())]
         got = ll_copula_estimate(ps, uu, vv, pol)
         assert np.array_equal(got, np.clip(np.array(want).reshape(uu.shape), 0.0, 1.0))
+
+
+class CountingRow(np.ndarray):
+    """A factor row that counts the elements assigned through an index array."""
+
+    scattered = 0
+
+    def __setitem__(self, key, value):
+        if isinstance(key, np.ndarray):
+            CountingRow.scattered += key.size
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("decimals", [None, 3], ids=["continuous", "ties"])
+def test_estimator_at_scale(decimals, monkeypatch):
+    n = 100_000
+    draws = sample_copula(CopulaModel("clayton", 2.0), n, SeededStream(8))
+    x, y = (draws.u, draws.v) if decimals is None else (np.round(draws.u, 3), np.round(draws.v, 3))
+    ps = to_pseudo_ranks(RawSample(x, y))
+    pol = BandwidthPolicy.from_sample_size(n)
+    rows = []
+    factor = SortedColumn.factor
+
+    def counted(col, a, b, inside, out):
+        # Each row may scatter only its window and allocate no n-length temporary.
+        CountingRow.scattered = 0
+        tracemalloc.start()
+        factor(col, a, b, inside, out.view(CountingRow))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        rows.append((CountingRow.scattered, b - a, peak))
+        return out
+
+    monkeypatch.setattr(SortedColumn, "factor", counted)
+    grid = np.linspace(0.0, 1.0, 11)
+    ku = np.stack([dense_factor(g, ps.u, pol) for g in grid])
+    kv = np.stack([dense_factor(g, ps.v, pol) for g in grid])
+    assert np.array_equal(_factor_matrix(grid, ps.u, pol), ku)
+    assert np.array_equal(evaluate_grid(ps, 11, pol).values, np.clip(ku @ kv.T / n, 0.0, 1.0))
+    rng = np.random.default_rng(2)
+    uu, vv = rng.random(10), rng.random(10)
+    want = [np.mean(dense_factor(a, ps.u, pol) * dense_factor(b, ps.v, pol)) for a, b in zip(uu, vv)]
+    assert np.array_equal(ll_copula_estimate(ps, uu, vv, pol), np.clip(want, 0.0, 1.0))
+    assert len(rows) == 11 + 2 * 11 + 2 * 10
+    assert all(scattered <= width for scattered, width, _ in rows)
+    assert max(peak for _, _, peak in rows) < 8 * n
 
 
 class TestPointEstimate:

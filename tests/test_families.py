@@ -1,4 +1,5 @@
 import decimal
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from llcopula.errors import ConfigError, NumericalError
 from llcopula.families import (
     CopulaModel,
     _invert_monotone,
+    _log_abs_expm1,
     cdf,
     conditional_cdf,
     debye1,
@@ -19,7 +21,13 @@ from llcopula.families import (
     theta_from_tau,
 )
 
-from reference_tables import CLAYTON_TABLE, DEBYE1_TABLE, FRANK_TABLE, FRANK_TAU_TABLE
+from reference_tables import (
+    CLAYTON_TABLE,
+    DEBYE1_TABLE,
+    FRANK_DENSITY_TABLE,
+    FRANK_TABLE,
+    FRANK_TAU_TABLE,
+)
 
 MODELS = [
     CopulaModel("clayton", 0.5),
@@ -44,6 +52,14 @@ def simpson_debye1(x, panels=20000):
     h = x / (2 * panels)
     integral = h / 3 * (f[0] + f[-1] + 4 * f[1::2].sum() + 2 * f[2:-2:2].sum())
     return integral / x
+
+
+def clayton_points(theta):
+    """u, v across (0, 1) and down to 1e-12, where Clayton's powers overflow."""
+    rng = np.random.default_rng(5)
+    u = np.concatenate([rng.random(400), 10.0 ** -rng.uniform(0, 12, 400)])
+    v = np.concatenate([rng.random(400), 10.0 ** -rng.uniform(0, 12, 400)])
+    return u, rng.permutation(v)
 
 
 class TestModelValidation:
@@ -112,6 +128,29 @@ class TestCdf:
         v1, v2 = np.minimum(a[:, 1], b[:, 1]), np.maximum(a[:, 1], b[:, 1])
         mass = cdf(model, u2, v2) - cdf(model, u2, v1) - cdf(model, u1, v2) + cdf(model, u1, v1)
         assert (mass >= -1e-12).all()
+
+    def test_clayton_large_theta_on_the_diagonal(self):
+        # C(u, u) = (2 u^-theta - 1)^(-1/theta) = u 2^(-1/theta) to double precision.
+        assert cdf(CopulaModel("clayton", 1000.0), 0.1, 0.1) == pytest.approx(0.1 * 2.0**-0.001, rel=1e-15)
+
+    @pytest.mark.parametrize("theta", [2.0, 100.0, 300.0, 1000.0])
+    def test_clayton_where_a_power_overflows(self, theta):
+        u, v = clayton_points(theta)
+        got = cdf(CopulaModel("clayton", theta), u, v)
+        # The plain form, kept bit for bit wherever u^-theta + v^-theta is finite.
+        with np.errstate(over="ignore"):
+            a = np.exp(-theta * np.log(u)) + np.exp(-theta * np.log(v)) - 1.0
+        finite = np.isfinite(a)
+        assert np.array_equal(got[finite], np.exp(-np.log(a[finite]) / theta))
+        assert theta == 2.0 or not finite.all()
+        # Elsewhere C = (u^-theta + v^-theta - 1)^(-1/theta), at 40 digits.
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            t = decimal.Decimal(theta)
+            for ui, vi, ci in zip(u[~finite], v[~finite], got[~finite]):
+                lu, lv = decimal.Decimal(ui).ln(), decimal.Decimal(vi).ln()
+                want = (-((-t * lu).exp() + (-t * lv).exp() - 1).ln() / t).exp()
+                assert ci == pytest.approx(float(want), rel=1e-14)
 
     def test_small_theta_limits_are_independence(self):
         u = np.linspace(0.05, 0.95, 13)
@@ -187,6 +226,19 @@ class TestDensity:
         assert total == pytest.approx(1.0, abs=1e-3)
 
 
+    def test_frank_matches_mpmath_table(self):
+        # log(1 - e^-|theta|) as log1p(-e^-|theta|) was off by 1.6e-11 relative
+        # at theta = 1e-6 and by 8.3e-8 at 1e-10.
+        theta, u, v, ref = np.array(FRANK_DENSITY_TABLE).T
+        got = np.array([density(CopulaModel("frank", t), a, b) for t, a, b in zip(theta, u, v)])
+        assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+    def test_log_abs_expm1_keeps_its_bytes_above_log_two(self):
+        z = np.concatenate([np.geomspace(np.log(2.0), 700.0, 500), [5.0, 18.0, 350.0]])
+        z = np.concatenate([z, -z])
+        assert np.array_equal(_log_abs_expm1(z), np.maximum(z, 0.0) + np.log1p(-np.exp(-np.abs(z))))
+
+
 class TestConditional:
     def test_independence(self):
         assert conditional_cdf(CopulaModel("independence"), 0.3, 0.9) == 0.3
@@ -213,6 +265,37 @@ class TestConditional:
             e = 1e-6
             fd = (cdf(model, u + e, v) - cdf(model, u - e, v)) / (2 * e)
             assert conditional_cdf(model, v, u) == pytest.approx(fd, abs=1e-5)
+
+    def test_clayton_large_theta_on_the_diagonal(self):
+        # C_2(u | u) = (2 - u^theta)^(-(theta+1)/theta) = 2^(-1.001) to double
+        # precision; u^theta underflows and u^-theta overflows, so the plain form is 0 * inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = conditional_cdf(CopulaModel("clayton", 1000.0), 0.1, 0.1)
+        assert got == pytest.approx(2.0**-1.001, rel=1e-15)
+
+    @pytest.mark.parametrize("theta", [2.0, 100.0, 300.0, 1000.0])
+    def test_clayton_where_the_grown_term_is_not_finite(self, theta):
+        u, v = clayton_points(theta)
+        got = conditional_cdf(CopulaModel("clayton", theta), v, u)
+        # The plain form, kept bit for bit wherever u^theta (v^-theta - 1) is finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            grow = np.exp(theta * np.log(u)) * np.expm1(-theta * np.log(v))
+        finite = np.isfinite(grow)
+        plain = np.exp(-(theta + 1.0) / theta * np.log1p(grow[finite]))
+        assert np.array_equal(got[finite], plain)
+        assert theta == 2.0 or not finite.all()
+        # Elsewhere (1 + u^theta (v^-theta - 1))^(-(theta+1)/theta), at 40 digits.  Both
+        # forms round theta log u and theta log v, so the bound is that many ulps.
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            t = decimal.Decimal(theta)
+            for ui, vi, ci in zip(u[~finite], v[~finite], got[~finite]):
+                lu, lv = decimal.Decimal(ui).ln(), decimal.Decimal(vi).ln()
+                g = (t * lu).exp() * ((-t * lv).exp() - 1)
+                want = float((-(t + 1) / t * (1 + g).ln()).exp())
+                ulps = theta * (abs(float(lu)) + abs(float(lv)))
+                assert ci == pytest.approx(want, rel=ulps * np.finfo(float).eps + 4e-15, abs=0.0)
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label())
     def test_nondecreasing_in_v(self, model):
