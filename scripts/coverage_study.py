@@ -17,6 +17,37 @@ from llcopula.margins import RawSample, to_pseudo_ranks
 from llcopula.sampling import SeededStream, sample_copula
 
 
+def sup_errors(model, n, replicates, grid, seed):
+    """Sup-norm error of the rank-based grid estimate, one per replicate.
+
+    Replicate r draws n pairs from stream seed + r.
+    """
+    policy = BandwidthPolicy.from_sample_size(n)
+    lattice = np.linspace(0.0, 1.0, grid)
+    uu, vv = np.meshgrid(lattice, lattice, indexing="ij")
+    truth = cdf(model, uu, vv)
+    sups = []
+    for r in range(replicates):
+        draws = sample_copula(model, n, SeededStream(seed + r))
+        pseudo = to_pseudo_ranks(RawSample(draws.u, draws.v))
+        ge = evaluate_grid(pseudo, grid, policy)
+        sups.append(np.abs(ge.values - truth).max())
+    return np.array(sups)
+
+
+def coverage(sups, n, eps):
+    """Outer and inner half-widths at eps, each with the share of replicates
+    whose whole grid lies inside that band: (outer, outer_rate, inner,
+    inner_rate).  The inner pair is None for eps >= 1, where that band is empty."""
+    params = BandParameters(n=n, epsilon=eps)
+    outer = band_halfwidth(params)
+    outer_rate = float((sups <= outer).mean())
+    if eps >= 1.0:
+        return outer, outer_rate, None, None
+    inner = shrunken_halfwidth(params)
+    return outer, outer_rate, inner, float((sups <= inner).mean())
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--family", default="clayton")
@@ -29,32 +60,18 @@ def main():
     args = ap.parse_args()
 
     model = CopulaModel(args.family, args.theta)
-    policy = BandwidthPolicy.from_sample_size(args.n)
-    lattice = np.linspace(0.0, 1.0, args.grid)
-    uu, vv = np.meshgrid(lattice, lattice, indexing="ij")
-    truth = cdf(model, uu, vv)
-
-    sups = []
-    for r in range(args.replicates):
-        draws = sample_copula(model, args.n, SeededStream(args.seed + r))
-        pseudo = to_pseudo_ranks(RawSample(draws.u, draws.v))
-        ge = evaluate_grid(pseudo, args.grid, policy)
-        sups.append(np.abs(ge.values - truth).max())
-    sups = np.array(sups)
+    sups = sup_errors(model, args.n, args.replicates, args.grid, args.seed)
 
     print(f"{model.label()} n={args.n} replicates={args.replicates}")
     print(f"sup-error quantiles: 50% {np.quantile(sups, 0.5):.4f}  "
           f"95% {np.quantile(sups, 0.95):.4f}  max {sups.max():.4f}")
     print(f"{'eps':>6}{'outer width':>14}{'outer rate':>12}{'inner width':>14}{'inner rate':>12}")
     for eps in args.eps:
-        outer = band_halfwidth(BandParameters(n=args.n, epsilon=eps))
-        outer_rate = float((sups <= outer).mean())
-        if eps < 1.0:
-            inner = shrunken_halfwidth(BandParameters(n=args.n, epsilon=eps))
-            inner_rate = float((sups <= inner).mean())
-            print(f"{eps:>6.2f}{outer:>14.5f}{outer_rate:>12.2f}{inner:>14.5f}{inner_rate:>12.2f}")
-        else:
+        outer, outer_rate, inner, inner_rate = coverage(sups, args.n, eps)
+        if inner is None:
             print(f"{eps:>6.2f}{outer:>14.5f}{outer_rate:>12.2f}{'-':>14}{'-':>12}")
+        else:
+            print(f"{eps:>6.2f}{outer:>14.5f}{outer_rate:>12.2f}{inner:>14.5f}{inner_rate:>12.2f}")
 
 
 if __name__ == "__main__":

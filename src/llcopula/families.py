@@ -74,16 +74,16 @@ def _check_range(arr, name, strict=False):
         raise ConfigError(f"{name} must lie {kind} [0.0, 1.0]")
 
 
-def _log_abs_expm1(z):
-    """log|e^z - 1| = max(z, 0) + log(1 - e^-|z|), stable for any z.
-
-    log(1 - e^-a) is log(-expm1(-a)) for a <= log 2 and log1p(-exp(-a))
-    above (Maechler 2012, "Accurately computing log(1 - exp(-|a|))").
-    """
-    a = np.abs(np.asarray(z, dtype=float))
+def _log1mexp(a):
+    """log(1 - e^-a) for a >= 0: log(-expm1(-a)) for a <= log 2 and log1p(-exp(-a))
+    above (Maechler 2012, "Accurately computing log(1 - exp(-|a|))")."""
     with np.errstate(divide="ignore"):
-        log1mexp = np.where(a <= np.log(2.0), np.log(-np.expm1(-a)), np.log1p(-np.exp(-a)))
-    return np.maximum(z, 0.0) + log1mexp
+        return np.where(a <= np.log(2.0), np.log(-np.expm1(-a)), np.log1p(-np.exp(-a)))
+
+
+def _log_abs_expm1(z):
+    """log|e^z - 1| = max(z, 0) + log(1 - e^-|z|), stable for any z."""
+    return np.maximum(z, 0.0) + _log1mexp(np.abs(np.asarray(z, dtype=float)))
 
 
 def _frank_denom(theta, u, v):
@@ -241,15 +241,17 @@ def conditional_cdf(model: CopulaModel, v, given_u):
     if model.family == INDEPENDENCE:
         out[inner] = vi
     elif model.family == CLAYTON:
-        # (1 + grow)^(-(theta+1)/theta), grow = u^theta (v^-theta - 1).  Where
-        # v^-theta overflows, grow is inf or 0 * inf; there use L = log(grow):
-        # log(1 + grow) = softplus(L).
-        with np.errstate(over="ignore", invalid="ignore"):
-            grow = np.exp(theta * np.log(ui)) * np.expm1(-theta * np.log(vi))
+        # (1 + grow)^(-(theta+1)/theta), grow = u^theta (v^-theta - 1)
+        # = (u/v)^theta (1 - v^theta): log(u/v) is one rounding, so the error is
+        # about theta ulps, not theta (|log u| + |log v|).  Where (u/v)^theta
+        # overflows use L = log(grow): log(1 + grow) = softplus(L).
+        with np.errstate(over="ignore"):
+            log_ratio = np.log(ui / vi)
+            grow = np.exp(theta * log_ratio) * -np.expm1(theta * np.log(vi))
         c = np.exp(-(theta + 1.0) / theta * np.log1p(grow))
         big = ~np.isfinite(grow)
         if big.any():
-            log_grow = theta * np.log(ui[big]) + _log_abs_expm1(-theta * np.log(vi[big]))
+            log_grow = theta * log_ratio[big] + _log1mexp(-theta * np.log(vi[big]))
             c[big] = np.exp(-(theta + 1.0) / theta * np.logaddexp(0.0, log_grow))
         out[inner] = c
     elif model.family == FRANK:
@@ -263,10 +265,12 @@ def conditional_cdf(model: CopulaModel, v, given_u):
 
 
 def inverse_conditional(model: CopulaModel, w, given_u):
-    """Solve C_2(v | u) = w for v; closed form except Gumbel (bracketed solve).
+    """Solve C_2(v | u) = w for v: closed form except Gumbel (Newton in d = s - x).
 
-    The Gumbel solve stops at 1e-12, tighter than the 1e-10 contract, so that
-    v itself is accurate even where the conditional CDF is nearly flat.
+    The Gumbel solve stops each element once its residual in the log-space
+    equation is at the rounding floor of that equation's terms (see
+    :func:`_gumbel_inverse`), so it converges wherever C_2 itself is too steep
+    in v for any v to meet a fixed tolerance in w.
     """
     w = np.asarray(w, dtype=float)
     given_u = np.asarray(given_u, dtype=float)
@@ -297,51 +301,57 @@ def inverse_conditional(model: CopulaModel, w, given_u):
         den = w + (1.0 - w) * eu
         out = -np.log(num / den) / theta
     else:
-        # d/dv of C_2(v | u) is the copula density at (u, v).
-        out = _invert_monotone(
-            lambda vv: conditional_cdf(model, vv, u),
-            lambda vv: density(model, u, vv),
-            w,
-            tol=1e-12,
-        )
+        out = _gumbel_inverse(theta, w, u)
     out = np.clip(out, 0.0, 1.0)
     return unwrap(out, scalar)
 
 
-def _invert_monotone(f, df, w, tol=1e-10, max_iter=200, lo=1e-12, hi=None):
-    """Elementwise safeguarded solve of f(v) = w on [lo, hi].
+def _gumbel_inverse(theta, w, u, max_steps=60):
+    """Gumbel's C_2(v | u) = w by Newton's method in d = s - x >= 0.
 
-    Bisection bracket updates with Newton steps (derivative df) accepted only
-    when they stay inside the bracket.  Raises with the offending indices if
-    any element fails to converge within the iteration cap.
+    With x = -log u, L = -log w and s = (x^theta + y^theta)^(1/theta), y = -log v,
+    C_2(v | u) = exp(-d) (1 + d/x)^(1 - theta), so the equation is
+    g(d) = d + (theta - 1) log1p(d/x) - L = 0 (a Lambert-W type equation;
+    Corless et al. 1996).  g is increasing and concave with g(0) = -L < 0, so
+    Newton from d = 0 rises monotonically to the root: no bracket is needed.
+    The iterate is kept as r = d/x, which gives the same Newton steps but
+    neither overflows in g' = 1 + (theta - 1)/(x + d) nor goes subnormal
+    where x is tiny and theta huge.  An element stops once
+    |g| <= 4 eps (d + (theta - 1) log1p(d/x) + L), the rounding floor of g's
+    terms, and only unconverged elements are iterated.  Then
+    y = s (1 - (x/s)^theta)^(1/theta) with (x/s)^theta = exp(-theta log1p(r)),
+    and v = exp(-y).
     """
-    if hi is None:
-        hi = 1.0 - 1e-12
-    w = np.asarray(w, dtype=float)
-    lo_b = np.full(w.shape, lo)
-    hi_b = np.full(w.shape, hi)
-    v = 0.5 * (lo_b + hi_b)
-    done = np.zeros(w.shape, dtype=bool)
-    for _ in range(max_iter):
-        err = f(v) - w
-        done |= np.abs(err) <= tol
-        if done.all():
+    x = -np.log(u)
+    big_l = -np.log(w)
+    # The first Newton step from r = 0, where g = -L.
+    r = big_l / (x + (theta - 1.0))
+    active = np.arange(x.size)
+    # The spacing of r near 0 times g'; it only counts where r is subnormal,
+    # which takes theta above about 1e290.
+    spacing = theta * np.finfo(float).smallest_subnormal
+    steps = 1
+    while True:
+        xa, ra, la = x[active], r[active], big_l[active]
+        xr = xa * ra
+        bend = (theta - 1.0) * np.log1p(ra)
+        g = xr + bend - la
+        todo = np.abs(g) > 4.0 * np.finfo(float).eps * (xr + bend + la) + spacing
+        if not todo.any():
             break
-        hi_b = np.where((err > 0) & ~done, v, hi_b)
-        lo_b = np.where((err < 0) & ~done, v, lo_b)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            newton = v - err / df(v)
-        inside = np.isfinite(newton) & (newton > lo_b) & (newton < hi_b)
-        v = np.where(done, v, np.where(inside, newton, 0.5 * (lo_b + hi_b)))
-    else:
-        err = f(v) - w
-        done |= np.abs(err) <= tol
-        if not done.all():
-            bad = np.flatnonzero(~np.atleast_1d(done))
+        if steps >= max_steps:
+            k = np.argmax(todo)
             raise NumericalError(
-                f"conditional inverse failed to converge at indices {bad[:10].tolist()}"
+                f"gumbel inverse conditional (theta={theta!r}) did not converge in "
+                f"{max_steps} Newton steps at {int(todo.sum())} of {x.size} points; "
+                f"first: u={float(u[active[k]])!r}, w={float(w[active[k]])!r}, "
+                f"d={float(xr[k])!r}, g(d)={float(g[k])!r}"
             )
-    return v
+        active, xa, ra = active[todo], xa[todo], ra[todo]
+        r[active] = ra - g[todo] / (xa + (theta - 1.0) / (1.0 + ra))
+        steps += 1
+    y = x * (1.0 + r) * np.exp(_log1mexp(theta * np.log1p(r)) / theta)
+    return np.exp(-y)
 
 
 # c_k = 4 B_2k / ((2k + 1) (2k)!), k = 1..15, from mpmath's Bernoulli numbers at

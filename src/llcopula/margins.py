@@ -187,9 +187,13 @@ def to_pseudo_smoothed(sample: RawSample) -> PseudoSample:
 
 def _scaled_ranks(values: np.ndarray) -> np.ndarray:
     # rank = count of sample values <= x_i; ties share the maximal rank,
-    # matching the empirical CDF convention.
-    order = np.sort(values)
-    ranks = np.searchsorted(order, values, side="right")
+    # matching the empirical CDF convention.  Searching the sorted values for
+    # themselves walks the table in order, unlike n unsorted needles; ties get
+    # the group's maximal rank whatever their order, so no stable sort is needed.
+    order = np.argsort(values)
+    sorted_values = values[order]
+    ranks = np.empty(len(values), dtype=np.intp)
+    ranks[order] = np.searchsorted(sorted_values, sorted_values, side="right")
     return ranks / (len(values) + 1.0)
 
 

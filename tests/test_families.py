@@ -1,4 +1,5 @@
 import decimal
+import re
 import warnings
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llcopula import families
 from llcopula.errors import ConfigError, NumericalError
 from llcopula.families import (
     CopulaModel,
-    _invert_monotone,
+    _gumbel_inverse,
     _log_abs_expm1,
     cdf,
     conditional_cdf,
@@ -60,6 +62,46 @@ def clayton_points(theta):
     u = np.concatenate([rng.random(400), 10.0 ** -rng.uniform(0, 12, 400)])
     v = np.concatenate([rng.random(400), 10.0 ** -rng.uniform(0, 12, 400)])
     return u, rng.permutation(v)
+
+
+def assert_solves_gumbel(model, v, u, w):
+    """v in [0, 1], and C_2(v | u) = w to 1e-10 or v within 4 ulps of where
+    C_2(. | u) - w changes sign: near u = 1 one ulp of v can move C_2 by more."""
+    assert ((v >= 0.0) & (v <= 1.0)).all()
+    miss = np.abs(conditional_cdf(model, v, u) - w) > 1e-10
+    below, above = v[miss], v[miss]
+    for _ in range(4):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+    below, above = np.clip(below, 0.0, 1.0), np.clip(above, 0.0, 1.0)
+    assert (conditional_cdf(model, below, u[miss]) <= w[miss]).all()
+    assert (conditional_cdf(model, above, u[miss]) >= w[miss]).all()
+
+
+def gumbel_y_at_40_digits(theta, u, w):
+    """-log v for Gumbel's C_2(v | u) = w, by bisection on log d at 40 digits.
+
+    d = s - x solves d + (theta - 1) log(1 + d/x) = L, x = -log u, L = -log w; the
+    root lies in [L x / (x + theta - 1), L].  Then y = s (1 - (x/s)^theta)^(1/theta).
+    """
+    dec = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+
+        def ln1p(z):
+            return z - z * z / 2 + z * z * z / 3 if z < dec("1e-12") else (1 + z).ln()
+
+        t, x, big_l = dec(theta), -dec(u).ln(), -dec(w).ln()
+        lo, hi = (big_l * x / (x + t - 1)).ln(), big_l.ln()
+        for _ in range(130):
+            mid = (lo + hi) / 2
+            if mid.exp() + (t - 1) * ln1p(mid.exp() / x) < big_l:
+                lo = mid
+            else:
+                hi = mid
+        r = ((lo + hi) / 2).exp() / x
+        a = t * ln1p(r)
+        one_minus = a - a * a / 2 + a * a * a / 6 if a < dec("1e-12") else 1 - (-a).exp()
+        return float(x * (1 + r) * (one_minus.ln() / t).exp())
 
 
 class TestModelValidation:
@@ -278,9 +320,9 @@ class TestConditional:
     def test_clayton_where_the_grown_term_is_not_finite(self, theta):
         u, v = clayton_points(theta)
         got = conditional_cdf(CopulaModel("clayton", theta), v, u)
-        # The plain form, kept bit for bit wherever u^theta (v^-theta - 1) is finite.
-        with np.errstate(over="ignore", invalid="ignore"):
-            grow = np.exp(theta * np.log(u)) * np.expm1(-theta * np.log(v))
+        # The plain form, bit for bit wherever (u/v)^theta (1 - v^theta) is finite.
+        with np.errstate(over="ignore"):
+            grow = np.exp(theta * np.log(u / v)) * -np.expm1(theta * np.log(v))
         finite = np.isfinite(grow)
         plain = np.exp(-(theta + 1.0) / theta * np.log1p(grow[finite]))
         assert np.array_equal(got[finite], plain)
@@ -296,6 +338,24 @@ class TestConditional:
                 want = float((-(t + 1) / t * (1 + g).ln()).exp())
                 ulps = theta * (abs(float(lu)) + abs(float(lv)))
                 assert ci == pytest.approx(want, rel=ulps * np.finfo(float).eps + 4e-15, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [2.0, 100.0, 1000.0])
+    def test_clayton_near_the_diagonal_within_theta_ulps(self, theta):
+        # (u/v)^theta rounds u/v once, so the error is about theta ulps; the
+        # difference of the rounded theta log u and theta log v errs by about
+        # 16 theta ulps here.
+        rng = np.random.default_rng(5)
+        u = 10.0 ** -rng.uniform(0, 12, 400)
+        v = np.minimum(u * np.exp(rng.normal(0.0, 1.0, 400) / theta), np.nextafter(1.0, 0.0))
+        got = conditional_cdf(CopulaModel("clayton", theta), v, u)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            t = decimal.Decimal(theta)
+            for ui, vi, ci in zip(u, v, got):
+                lu, lv = decimal.Decimal(ui).ln(), decimal.Decimal(vi).ln()
+                g = (t * lu).exp() * ((-t * lv).exp() - 1)
+                want = float((-(t + 1) / t * (1 + g).ln()).exp())
+                assert ci == pytest.approx(want, rel=(theta + 4.0) * np.finfo(float).eps, abs=0.0)
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label())
     def test_nondecreasing_in_v(self, model):
@@ -350,13 +410,79 @@ class TestInverseConditional:
             inverse_conditional(CopulaModel("frank", 5.0), 0.5, 1.0)
 
     def test_solver_reports_nonconvergence(self):
-        with pytest.raises(NumericalError, match="indices"):
-            _invert_monotone(
-                lambda v: np.zeros_like(v),
-                lambda v: np.zeros_like(v),
-                np.array([0.25, 0.5]),
-                max_iter=40,
-            )
+        # Two Newton steps are too few for the last two rows.  The message names
+        # the family, theta and the first unconverged row with its last iterate
+        # and residual, in full precision, so the failure can be re-run from it.
+        u = np.array([0.9, 1.0 - 3e-6, 0.5])
+        w = np.array([1.0 - 1e-16, 1e-16, 0.5])
+        with pytest.raises(NumericalError) as info:
+            _gumbel_inverse(1.69, w, u, max_steps=2)
+        msg = str(info.value)
+        assert "gumbel" in msg and "theta=1.69" in msg and "2 of 3 points" in msg
+        pattern = r"u=(\S+), w=(\S+), d=(\S+), g\(d\)=(\S+)$"
+        got_u, got_w, got_d, got_g = re.search(pattern, msg).groups()
+        assert (float(got_u), float(got_w)) == (u[1], w[1])
+        x, big_l, d = -np.log(u[1]), -np.log(w[1]), float(got_d)
+        assert float(got_g) == pytest.approx(d + 0.69 * np.log1p(d / x) - big_l, rel=1e-12)
+        with pytest.raises(NumericalError) as again:
+            _gumbel_inverse(1.69, np.array([float(got_w)]), np.array([float(got_u)]), max_steps=2)
+        assert re.search(pattern, str(again.value)).groups() == (got_u, got_w, got_d, got_g)
+
+    def test_gumbel_solve_evaluates_no_cdf(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the Gumbel solve evaluated the copula")
+
+        monkeypatch.setattr(families, "conditional_cdf", forbidden)
+        monkeypatch.setattr(families, "density", forbidden)
+        v = inverse_conditional(CopulaModel("gumbel", 1.69), np.full(5, 0.3), np.linspace(0.1, 0.9, 5))
+        assert ((v > 0.0) & (v < 1.0)).all()
+
+    @pytest.mark.parametrize("u", [1.0 - 3e-6, 1.0 - 1e-16])
+    def test_gumbel_unit_rows(self, u):
+        # Near u = 1 one ulp of v can move C_2 by more than 1e-12, so no fixed
+        # tolerance in w can be met there.
+        w = np.array([1e-300, 1e-16, 1e-8, 0.3, 0.7, 1.0 - 1e-8, 1.0 - 1e-16])
+        # theta = 1 is independence: v = w, with the rounding of y = -log w
+        # (a few ulps of y, so up to y ulps of v).
+        v = inverse_conditional(CopulaModel("gumbel", 1.0), w, u)
+        assert (np.abs(v - w) <= 4.0 * np.finfo(float).eps * np.maximum(1.0, -np.log(w)) * w).all()
+        for theta in (1.69, 5.0, 20.0, 100.0):
+            model = CopulaModel("gumbel", theta)
+            v = inverse_conditional(model, w, u)
+            assert_solves_gumbel(model, v, np.full_like(w, u), w)
+
+    @pytest.mark.parametrize("theta", [1.0, 1.0001, 1.69, 5.0, 100.0, 1e6])
+    def test_gumbel_matches_decimal_solution(self, theta):
+        rng = np.random.default_rng(17)
+        edge = np.array([1e-300, 1e-16, 1e-8, 0.5, 1.0 - 3e-6, 1.0 - 1e-16])
+        u = np.concatenate([np.repeat(edge, 3), rng.random(12)])
+        w = np.concatenate([np.tile([1e-16, 0.3, 1.0 - 1e-16], 6), rng.random(12)])
+        got = inverse_conditional(CopulaModel("gumbel", theta), w, u)
+        for ui, wi, vi in zip(u, w, got):
+            y = gumbel_y_at_40_digits(theta, ui, wi)
+            # v = exp(-y): a relative error of a few eps in y is y times that in v.
+            rel = 16.0 * np.finfo(float).eps * max(1.0, y)
+            assert vi == pytest.approx(np.exp(-y), rel=rel, abs=1e-300)
+
+    @given(
+        theta=st.floats(1.0, 1000.0),
+        u=st.floats(5e-324, 1.0, exclude_max=True),
+        w=st.floats(5e-324, 1.0, exclude_max=True),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_gumbel_solves_or_sits_on_the_sign_change(self, theta, u, w):
+        # Above theta ~ 1e3 the rounding of conditional_cdf itself exceeds the step
+        # between neighbouring v; the 40-digit test above covers theta = 1e6.
+        model = CopulaModel("gumbel", theta)
+        u, w = np.array([u]), np.array([w])
+        assert_solves_gumbel(model, inverse_conditional(model, w, u), u, w)
+
+    @pytest.mark.parametrize("theta", [1.0 + 1e-15, 1e10, 1e100, 1e300, 1.7e308])
+    def test_gumbel_converges_at_any_accepted_theta(self, theta):
+        edge = np.array([5e-324, 1e-300, 1e-16, 0.5, 1.0 - 3e-6, np.nextafter(1.0, 0.0)])
+        u, w = (a.ravel() for a in np.meshgrid(edge, edge))
+        v = inverse_conditional(CopulaModel("gumbel", theta), w, u)
+        assert ((v >= 0.0) & (v <= 1.0)).all()
 
 
 class TestTauMaps:

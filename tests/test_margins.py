@@ -256,6 +256,22 @@ def test_rank_invariance_under_monotone_maps(seed):
     assert np.array_equal(base.v, warped.v)
 
 
+@given(
+    st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0, 3.25]) | st.floats(-1e3, 1e3), min_size=2, max_size=300),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_ranks_equal_sort_then_search(column, seed):
+    # Tie-heavy columns (signed zeros included): ranks by searching the sorted
+    # values for themselves equal the count of values <= x_i bit for bit.
+    x = np.array(column)
+    y = np.random.default_rng(seed).permutation(x)
+    got = to_pseudo_ranks(RawSample(x, y))
+    for values, ranks in ((x, got.u), (y, got.v)):
+        want = np.searchsorted(np.sort(values), values, side="right") / (len(values) + 1.0)
+        assert np.array_equal(ranks, want)
+
+
 def test_to_pseudo_dispatch():
     rng = np.random.default_rng(2)
     s = RawSample(rng.normal(size=10), rng.normal(size=10))

@@ -3,7 +3,7 @@ import pytest
 
 from llcopula.errors import ConfigError
 from llcopula.estimator import empirical_copula
-from llcopula.families import CopulaModel, cdf, tau_from_theta
+from llcopula.families import CopulaModel, cdf, conditional_cdf, tau_from_theta
 from llcopula.fitting import empirical_kendall_tau
 from llcopula.sampling import SeededStream, sample_copula
 
@@ -76,6 +76,26 @@ def test_clayton_large_theta_draws_no_exact_zeros(theta):
     # 48.9 % of these draws.
     s = sample_copula(CopulaModel("clayton", theta), 20_000, SeededStream(3))
     assert (s.v > 0.0).all() and (s.v < 1.0).all()
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_gumbel_draws_at_scale(seed):
+    # Seeds 2, 3, 4 and 7 draw u so close to 1 that no v meets a fixed 1e-12
+    # tolerance in w; the solve must still converge there.
+    m = CopulaModel("gumbel", 1.69)
+    s = sample_copula(m, 100_000, SeededStream(seed))
+    w = np.clip(SeededStream(seed).generator().random((100_000, 2)), 1e-16, 1.0 - 1e-16)[:, 1]
+    assert ((s.v >= 0.0) & (s.v <= 1.0)).all()
+    assert np.abs(conditional_cdf(m, s.v, s.u) - w).max() <= 1e-10
+
+
+@pytest.mark.parametrize("theta", [5.0, 20.0, 100.0])
+def test_gumbel_large_theta_draws(theta):
+    # Large theta makes C_2 steep in v, where a fixed tolerance in w fails most.
+    m = CopulaModel("gumbel", theta)
+    s = sample_copula(m, 20_000, SeededStream(3))
+    assert ((s.v >= 0.0) & (s.v <= 1.0)).all()
+    assert empirical_kendall_tau(s) == pytest.approx(tau_from_theta(m), abs=0.01)
 
 
 def _ks_distance(x):
