@@ -5,15 +5,18 @@ local-linear kernels, one factor per coordinate.  Each factor uses the
 bandwidth of its own coordinate c, clamp(h_n * min(c, 1-c)^alpha, h_min,
 h_max).  This per-axis rule is a deliberate deviation from the paper's joint
 bandwidth clamp(h_n * max{min(u, 1-u), min(v, 1-v)}^alpha, h_min, h_max): it
-keeps the factor of a grid row independent of the column, so the whole grid
-is a single matrix product.  A factor is exactly 1 or 0 outside its kernel
-window, so each factor row is built on the data sorted once
-(``kernels.SortedColumn``): the local-linear CDF is evaluated only at the
-window's points, not at all n, the ones and zeros are written in sample order
-by comparing each point's rank with the window's start, and only the window's
-values are scattered to their sample positions.  Every value stays bitwise
-equal to evaluating the kernel at all n points.  The unsmoothed empirical
-copula is provided as the desk-scale oracle.
+keeps the factor of a grid row independent of the column, so the grid is a
+contraction of per-axis factors over the sample.  A factor is exactly 1 or 0
+outside its kernel window, so factors are built on the data sorted once
+(``kernels.SortedColumn``) and the local-linear CDF is evaluated only at the
+window's points, not at all n.  A point estimate fills one n-row per axis:
+ones and zeros by comparing each point's rank with the window's start, then
+the window's values scattered to their sample positions.  The grid builds no
+grid-by-n factor matrix: it streams over the data sorted by u in blocks
+(``_grid_sums``), in O(n + the windows' total width + grid size * BLOCK)
+memory.  Every factor value stays bitwise equal to evaluating the kernel at
+all n points.  The unsmoothed empirical copula is provided as the desk-scale
+oracle.
 """
 
 from __future__ import annotations
@@ -77,13 +80,24 @@ class BandwidthPolicy:
         return float(np.clip(self.h_n * factor, self.h_min, self.h_max))
 
 
+def _window(coord: float, data: SortedColumn, policy: BandwidthPolicy):
+    """Kernel of the integrated-kernel factor K((coord - X_i)/h) at
+    h = policy.bandwidth(coord), and the window [a, b) of the sorted data
+    outside which the factor is 1 (before) or 0 (after)."""
+    kern = LocalKernel.at(coord, policy.bandwidth(coord))
+    a, b = data.window(kern.u, kern.h, kern.moments.lo, kern.moments.hi)
+    return kern, int(a), int(b)
+
+
+def _inside(kern: LocalKernel, a: int, b: int, data: SortedColumn) -> np.ndarray:
+    """The factor's values on its window, data.values[a:b]."""
+    return local_linear_cdf(kern, (kern.u - data.values[a:b]) / kern.h)
+
+
 def _axis_factor(coord: float, data: SortedColumn, policy: BandwidthPolicy, out: np.ndarray) -> np.ndarray:
-    """Integrated-kernel factor K((coord - X_i)/h) at h = policy.bandwidth(coord),
-    written into ``out`` in sample order."""
-    h = policy.bandwidth(coord)
-    kern = LocalKernel.at(coord, h)
-    a, b = data.window(coord, h, kern.moments.lo, kern.moments.hi)
-    return data.factor(a, b, local_linear_cdf(kern, (coord - data.values[a:b]) / h), out)
+    """The factor at ``coord``, written into ``out`` in sample order."""
+    kern, a, b = _window(coord, data, policy)
+    return data.factor(a, b, _inside(kern, a, b, data), out)
 
 
 def ll_copula_estimate(sample: PseudoSample, u, v, policy: BandwidthPolicy):
@@ -130,28 +144,84 @@ class GridEvaluation:
             raise ConfigError("grid evaluation contains non-finite values")
 
 
-def _factor_matrix(coords: np.ndarray, data: np.ndarray, policy: BandwidthPolicy) -> np.ndarray:
-    """Rows of ``_axis_factor``, one per coordinate, on the data sorted once."""
-    col = SortedColumn.of(data)
-    rows = np.empty((len(coords), len(data)))
-    for c, row in zip(coords, rows):
-        _axis_factor(c, col, policy, row)
-    return rows
+# Width of the column blocks that the grid contraction streams over.
+BLOCK = 2048
+
+
+def _grid_sums(grid: np.ndarray, su: SortedColumn, sv: SortedColumn, policy: BandwidthPolicy) -> np.ndarray:
+    """S[i, j], the sum over the sample of the u-factor at grid[i] times the
+    v-factor at grid[j], streamed over the data in u-sorted order, BLOCK
+    columns at a time.
+
+    On a block a u-factor row is all ones, all zeros or partial.  The block of
+    every v-factor is built from a rank compare plus that block's v-window
+    entries.  All-ones u-rows add the block's column sums, all-zero rows are
+    skipped, and only the few partial rows take a matrix product.
+    """
+    n, g = su.values.size, grid.size
+    u_rows = [(a, b, _inside(kern, a, b, su)) for kern, a, b in (_window(c, su, policy) for c in grid)]
+    ua = np.array([a for a, _, _ in u_rows])
+    ub = np.array([b for _, b, _ in u_rows])
+
+    # The v-windows' entries: value, the block of the point's u-sorted
+    # position and the entry's cell in that block's (g, width) v-factor.
+    width = min(n, BLOCK)
+    nblocks = -(-n // width)
+    v_wins = [_window(c, sv, policy) for c in grid]
+    va = np.array([a for _, a, _ in v_wins], dtype=sv.rank.dtype)
+    size = sum(b - a for _, a, b in v_wins)
+    values = np.empty(size)
+    blocks = np.empty(size, dtype=np.min_scalar_type(nblocks))
+    cells = np.empty(size, dtype=np.min_scalar_type(g * width))
+    lo = 0
+    for j, (kern, a, b) in enumerate(v_wins):
+        hi = lo + b - a
+        values[lo:hi] = _inside(kern, a, b, sv)
+        blocks[lo:hi], cells[lo:hi] = np.divmod(su.rank[sv.order[a:b]], width)
+        cells[lo:hi] += j * width
+        lo = hi
+    # Group the entries by block with a stable (radix) sort of the small block ids.
+    by_block = np.argsort(blocks, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(blocks, minlength=nblocks))))
+    values, cells = values[by_block], cells[by_block]
+    del blocks, by_block
+
+    v_rank = sv.rank[su.order]  # v-rank of the point at each u-sorted position
+    sums = np.zeros((g, g))
+    kv = np.empty((g, width))
+    for k, s in enumerate(range(0, n, width)):
+        e = min(s + width, n)
+        block = kv[:, : e - s]
+        np.less(v_rank[s:e], va[:, None], out=block)
+        kv.reshape(-1)[cells[starts[k] : starts[k + 1]]] = values[starts[k] : starts[k + 1]]
+        sums[ua >= e] += block.sum(axis=1)
+        partial = np.flatnonzero((ua < e) & (ub > s))
+        ku = np.zeros((partial.size, e - s))
+        for row, i in zip(ku, partial):
+            a, b, inside = u_rows[i]
+            row[: max(a - s, 0)] = 1.0
+            lo, hi = max(a, s), min(b, e)
+            row[lo - s : hi - s] = inside[lo - a : hi - a]
+        sums[partial] += ku @ block.T
+    return sums
 
 
 def evaluate_grid(sample: PseudoSample, grid_size: int, policy: BandwidthPolicy) -> GridEvaluation:
     """Estimate on a uniform lattice including both endpoints.
 
-    The product structure makes this a matrix product of per-axis factor
-    matrices, which is deterministic regardless of any outer parallelism.
+    The product structure makes the lattice a contraction of per-axis
+    factors, streamed over the sample in blocks (``_grid_sums``), so memory
+    is O(n + the windows' total width + grid_size * BLOCK) and no grid_size
+    by n factor matrix is built.  The result depends on the data alone, up
+    to the rounding of BLAS's matrix product, which a BLAS build or thread
+    count can change in the last bits.
     """
     grid_size = int(grid_size)
     if grid_size < 2:
         raise ConfigError(f"grid size must be >= 2, got {grid_size}")
     grid = np.linspace(0.0, 1.0, grid_size)
-    ku = _factor_matrix(grid, sample.u, policy)
-    kv = _factor_matrix(grid, sample.v, policy)
-    values = np.clip(ku @ kv.T / sample.n, 0.0, 1.0)
+    sums = _grid_sums(grid, SortedColumn.of(sample.u), SortedColumn.of(sample.v), policy)
+    values = np.clip(sums / sample.n, 0.0, 1.0)
     return GridEvaluation(grid_u=grid, grid_v=grid, values=values, n=sample.n)
 
 

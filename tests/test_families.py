@@ -26,6 +26,7 @@ from llcopula.families import (
 from reference_tables import (
     CLAYTON_TABLE,
     DEBYE1_TABLE,
+    FRANK_CDF_TABLE,
     FRANK_DENSITY_TABLE,
     FRANK_TABLE,
     FRANK_TAU_TABLE,
@@ -139,6 +140,23 @@ class TestCdf:
         m = CopulaModel("frank", theta)
         for u, v, want in rows:
             assert cdf(m, u, v) == pytest.approx(want, abs=1e-3)
+
+    def test_frank_matches_mpmath_cdf_table(self):
+        # -log(_frank_denom / expm1(-theta)) / theta alone was off by up to 8e18
+        # relative on the |theta| <= 30 rows and negative at theta = -30, -1,
+        # +-1e-8 and 5.  For theta < 0 the rounding of theta * u is amplified
+        # about |theta| times: 1.4e-14 at -200 and 2.8e-14 at -350 were measured.
+        theta, u, v, ref = np.array(FRANK_CDF_TABLE).T
+        got = np.array([cdf(CopulaModel("frank", t), a, b) for t, a, b in zip(theta, u, v)])
+        bound = np.where(np.abs(theta) <= 30.0, 4e-15, 1.5e-16 * np.abs(theta))
+        assert (np.abs(got - ref) / ref <= bound).all()
+
+    def test_frank_never_negative(self):
+        edges = np.array([0.0, 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6, 1 - 1e-12, 1.0])
+        uu, vv = np.meshgrid(edges, edges)
+        magnitudes = np.geomspace(1e-10, families.FRANK_THETA_MAX, 40)
+        for theta in np.concatenate([magnitudes, -magnitudes]):
+            assert (cdf(CopulaModel("frank", theta), uu, vv) >= 0.0).all()
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label())
     def test_boundary_identities(self, model):

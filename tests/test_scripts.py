@@ -1,12 +1,14 @@
-"""Tier-1 smoke runs of the study scripts, so that they cannot rot unnoticed.
+"""Tier-1 smoke runs of the scripts, so that they cannot rot unnoticed.
 
-Each script runs in its own interpreter at tiny sizes (about a second each);
-the test checks only that it exits 0 and prints its table header.  The
+Each study script runs in its own interpreter at tiny sizes (about a second
+each); the test checks only that it exits 0 and prints its table header.  The
 coverage study's loop also runs in full, as the paper's simulation check.
+The byte report runs its command set once and diffs a nudged copy.
 """
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +56,28 @@ def test_coverage_study_outer_band_covers_and_inner_band_fails(family, theta):
     _, outer_rate, _, _ = study.coverage(sups, n, 0.0)
     _, _, _, inner_rate = study.coverage(sups, n, 0.99)
     assert (outer_rate, inner_rate) == (1.0, 0.0)
+
+
+def test_byte_report_runs_and_diffs(tmp_path):
+    script = str(ROOT / "scripts" / "byte_report.py")
+    run = subprocess.run([sys.executable, script, "run", str(tmp_path / "a")],
+                         capture_output=True, text=True, env=ENV, timeout=300)
+    assert run.returncode == 0, run.stderr
+    names = [line.split()[1] for line in run.stdout.splitlines()]
+    assert len(names) == 19 and "plot.svg" in names and "reproduce_frank.csv" in names
+    # A copy with one grid cell nudged: the diff names that file and the move.
+    copy = tmp_path / "b"
+    copy.mkdir()
+    for name in names:
+        (copy / name).write_bytes((tmp_path / "a" / name).read_bytes())
+    path = copy / "estimate_31_rank.csv"
+    text = path.read_text()
+    cell = re.search(r"\n([^,\n]+),([^,\n]+),(0\.[0-9]+)", text)
+    nudged = f"{float(cell.group(3)) + 1e-9!r}"
+    path.write_text(text[: cell.start(3)] + nudged + text[cell.end(3) :])
+    diff = subprocess.run([sys.executable, script, "diff", str(tmp_path / "a"), str(copy)],
+                          capture_output=True, text=True, env=ENV, timeout=300)
+    assert diff.returncode == 0, diff.stderr
+    lines = diff.stdout.splitlines()
+    assert lines[0].startswith("estimate_31_rank.csv: 1 of ") and lines[0].endswith("largest by 1e-09")
+    assert lines[-1] == "18 of 19 files byte-identical"
