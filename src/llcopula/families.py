@@ -159,16 +159,28 @@ def _gumbel_cdf(theta, u, v):
     inner = (u > 0.0) & (v > 0.0) & (u < 1.0) & (v < 1.0)
     x = -np.log(u[inner])
     y = -np.log(v[inner])
-    out[inner] = np.exp(-_gumbel_s(theta, x, y))
+    # s = (x^theta + y^theta)^(1/theta) without overflow: factor out max(x, y).
+    big, small = np.maximum(x, y), np.minimum(x, y)
+    out[inner] = np.exp(-big * np.exp(np.log1p((small / big) ** theta) / theta))
     return _boundary_frame(u, v, out)
 
 
-def _gumbel_s(theta, x, y):
-    """(x^theta + y^theta)^(1/theta) without overflow: factor out max(x, y)."""
-    big = np.maximum(x, y)
-    small = np.minimum(x, y)
-    r = np.where(big > 0.0, small / np.where(big > 0.0, big, 1.0), 0.0)
-    return big * np.exp(np.log1p(r**theta) / theta)
+def _gumbel_terms(theta, u, v):
+    """(min(x, y), m, |y - x|, log r, t, d) at interior u, v: x = -log u, y = -log v,
+    m = max(x, y), r = min(x, y)/m, t = log1p(r^theta)/theta, d = s - m = m expm1(t).
+
+    Near the diagonal r^theta needs log r to its last digits: there
+    |y - x| = log1p((hi - lo)/lo), hi - lo is exact, and log r = log1p(-|y - x|/m).
+    """
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    small, m = -np.log(hi), -np.log(lo)
+    with np.errstate(over="ignore"):
+        gap = np.log1p((hi - lo) / lo)  # inf only where lo is subnormal
+        gap = np.where(gap < np.inf, gap, m - small)
+        q = np.minimum(gap / m, 0.5)
+        log_r = np.where(q < 0.5, np.log1p(-q), np.log(small / m))
+        t = np.log1p(np.exp(theta * log_r)) / theta
+    return small, m, gap, log_r, t, m * np.expm1(t)
 
 
 def cdf(model: CopulaModel, u, v):
@@ -222,17 +234,9 @@ def density(model: CopulaModel, u, v):
         )
         out = np.exp(log_c)
     else:
-        x = -np.log(u)
-        y = -np.log(v)
-        s = _gumbel_s(theta, x, y)
-        log_c = (
-            -s
-            + (theta - 1.0) * (np.log(x) + np.log(y))
-            + (1.0 - 2.0 * theta) * np.log(s)
-            + np.log(s + theta - 1.0)
-            - np.log(u)
-            - np.log(v)
-        )
+        # log c = x + y - s + (theta - 1)(log x + log y - 2 log s) + log((s + theta - 1)/s)
+        small, m, _, log_r, t, d = _gumbel_terms(theta, u, v)
+        log_c = small - d + (theta - 1.0) * (log_r - 2.0 * t) + np.log1p((theta - 1.0) / (m + d))
         out = np.exp(log_c)
     return unwrap(out, scalar)
 
@@ -270,10 +274,10 @@ def conditional_cdf(model: CopulaModel, v, given_u):
     elif model.family == FRANK:
         out[inner] = np.exp(-theta * ui) * np.expm1(-theta * vi) / _frank_denom(theta, ui, vi)
     else:
-        x = -np.log(ui)
-        y = -np.log(vi)
-        s = _gumbel_s(theta, x, y)
-        out[inner] = np.exp(-s + (1.0 - theta) * np.log(s) + (theta - 1.0) * np.log(x) - np.log(ui))
+        # exp(-(s - x)) (s/x)^(1 - theta), with s/x = (1 + r^theta)^(1/theta) times 1/r if y > x
+        _, _, gap, log_r, t, d = _gumbel_terms(theta, ui, vi)
+        skew = np.where(vi < ui, (theta - 1.0) * log_r - gap, 0.0)
+        out[inner] = np.exp(-d - (theta - 1.0) * t + skew)
     return unwrap(out, scalar)
 
 

@@ -2,9 +2,10 @@
 
 Files are comma-separated with dot decimals, an optional header, and a
 trailing metadata block of ``# key = value`` comment lines.  Floats are
-written with 17 significant digits so grids round-trip bitwise.  Every
-output file of the package is written by ``write_csv`` or ``atomic_write``:
-a unique temp file in the target directory, then an atomic rename.
+written with 17 significant digits so grids round-trip bitwise.  One writer
+and one reader share that format: ``write_csv`` or ``atomic_write`` (a unique
+temp file in the target directory, then an atomic rename) writes every output
+file, and both file readers are format checks over ``_read_csv``, its inverse.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BandGrid
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .margins import RawSample
 
 GRID_COLUMNS = ("u", "v", "estimate", "lower", "upper")
@@ -31,10 +32,19 @@ class CsvDiagnostics:
     header_skipped: bool = False
 
 
+def _one_line(text: str) -> str:
+    # The reader splits lines at "\n" after universal newlines, so a line
+    # break in a value would start a new row or metadata entry.
+    if "\n" in text or "\r" in text:
+        raise ConfigError(f"cannot write a line break into a CSV cell or metadata entry: {text!r}")
+    return text
+
+
 def _cell(x) -> str:
     if x is None:
         return ""
     if isinstance(x, str):
+        x = _one_line(x)
         # RFC 4180 quoting, needed only where the text holds a comma or a quote.
         return '"' + x.replace('"', '""') + '"' if "," in x or '"' in x else x
     return format(float(x), ".17g")
@@ -58,18 +68,62 @@ def write_csv(path: str, header, rows, meta: dict | None = None) -> None:
     """Header, rows, then ``# key = value`` lines.  Cells and metadata values
     alike: floats at 17 significant digits, None empty, strings verbatim,
     except that a row cell holding a comma or a double quote is quoted.
-    ``rows`` may be a lazy iterable, so a large table is never held twice."""
+    A string holding a line break raises ``ConfigError`` before any file is
+    made.  ``rows`` may be a lazy iterable, so a large table is never held twice."""
     lines = [",".join(header)]
     lines.extend(",".join(map(_cell, row)) for row in rows)
     for key, value in (meta or {}).items():
-        lines.append(f"# {key} = {value if isinstance(value, str) else _cell(value)}")
+        lines.append(f"# {_one_line(key)} = {_one_line(value) if isinstance(value, str) else _cell(value)}")
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _parse_meta_line(line: str) -> tuple[str, str]:
-    body = line.lstrip("#").strip()
-    key, _, value = body.partition("=")
-    return key.strip(), value.strip()
+def _read_csv(path: str, ncols: int):
+    """The inverse of ``write_csv``: ``(first, header, data, notes, blanks)``.
+
+    Lines end at "\\n" (universal newlines) and are stripped; blank ones are
+    counted and ``#`` ones, anywhere, kept in ``notes`` as ``(lineno, text)``.
+    The first other line, at line ``first`` (0 if none), gives the ``header``
+    cells if its first cell is not a float (else None); the rest are ``data``,
+    ``(m, ncols)`` finite floats.  A fault raises ``InputError`` at ``path:line``.
+    """
+    if not os.path.exists(path):
+        raise InputError(f"no such file: {path}")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if not lines[-1]:
+        lines.pop()  # the empty text after the final "\n"
+    lines = [line.strip() for line in lines]
+    notes = [(k, line) for k, line in enumerate(lines, 1) if line[:1] == "#"]
+    rows = [(k, line) for k, line in enumerate(lines, 1) if line[:1] not in ("", "#")]
+    blanks = len(lines) - len(notes) - len(rows)
+    first, header = (rows[0][0] if rows else 0), None
+    try:
+        if rows:
+            float(rows[0][1].split(",", 1)[0].strip())
+    except ValueError:
+        header = tuple(cell.strip() for cell in rows.pop(0)[1].split(","))
+        if len(header) != ncols:
+            raise InputError(f"{path}:{first}: expected {ncols} columns, got {len(header)} in the header") from None
+    try:
+        data = np.array([line.split(",") for _, line in rows], dtype=float).reshape(len(rows), ncols)
+    except ValueError:
+        data = None
+    if data is not None and np.isfinite(data).all():
+        return first, header, data, notes, blanks
+    # Only a faulty or unusual file gets here: walk the rows with float(),
+    # which raises at the first fault in file order.
+    values = []
+    for lineno, line in rows:
+        cells = [cell.strip() for cell in line.split(",")]
+        if len(cells) != ncols:
+            raise InputError(f"{path}:{lineno}: expected {ncols} columns, got {len(cells)}")
+        try:
+            values.append([float(cell) for cell in cells])
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: non-numeric cell {cells!r}") from None
+        if not all(map(math.isfinite, values[-1])):
+            raise InputError(f"{path}:{lineno}: non-finite cell {cells!r}")
+    return first, header, np.array(values), notes, blanks
 
 
 def read_pairs_csv(path: str) -> tuple[RawSample, CsvDiagnostics]:
@@ -78,38 +132,10 @@ def read_pairs_csv(path: str) -> tuple[RawSample, CsvDiagnostics]:
     A non-numeric or non-finite (nan, inf) cell raises ``InputError`` with
     its ``path:line``.
     """
-    if not os.path.exists(path):
-        raise InputError(f"no such file: {path}")
-    xs: list[float] = []
-    ys: list[float] = []
-    blanks = comments = 0
-    header_skipped = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                blanks += 1
-                continue
-            if line.startswith("#"):
-                comments += 1
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            if len(cells) != 2:
-                raise InputError(f"{path}:{lineno}: expected 2 columns, got {len(cells)}")
-            try:
-                xs.append(float(cells[0]))
-                ys.append(float(cells[1]))
-            except ValueError:
-                if not xs and not header_skipped:
-                    header_skipped = True
-                    continue
-                raise InputError(f"{path}:{lineno}: non-numeric cell {cells!r}") from None
-            if not (math.isfinite(xs[-1]) and math.isfinite(ys[-1])):
-                raise InputError(f"{path}:{lineno}: non-finite cell {cells!r}")
-    if len(xs) < 2:
-        raise InputError(f"{path}: need at least 2 data rows, found {len(xs)}")
-    sample = RawSample(x=np.array(xs), y=np.array(ys))
-    return sample, CsvDiagnostics(blank_lines=blanks, comment_lines=comments, header_skipped=header_skipped)
+    _, header, data, notes, blanks = _read_csv(path, 2)
+    if len(data) < 2:
+        raise InputError(f"{path}: need at least 2 data rows, found {len(data)}")
+    return RawSample(*data.T.copy()), CsvDiagnostics(blanks, len(notes), header is not None)
 
 
 def write_pairs_csv(path: str, x, y, meta: dict | None = None) -> None:
@@ -131,65 +157,31 @@ def read_grid_csv(path: str) -> BandGrid:
 
     A non-numeric or non-finite cell or halfwidth raises ``InputError`` at its ``path:line``.
     """
-    if not os.path.exists(path):
-        raise InputError(f"no such file: {path}")
-    rows: list[tuple[float, ...]] = []
+    first, header, data, notes, _ = _read_csv(path, len(GRID_COLUMNS))
+    if first and header != GRID_COLUMNS:
+        raise InputError(f"{path}:{first}: expected header {','.join(GRID_COLUMNS)!r}")
     meta: dict[str, str] = {}
-    header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, value = _parse_meta_line(line)
-                if not key:
-                    raise InputError(f"{path}:{lineno}: malformed metadata line")
-                try:
-                    finite = key != "halfwidth" or math.isfinite(float(value))
-                except ValueError:
-                    finite = False
-                if not finite:
-                    raise InputError(f"{path}:{lineno}: halfwidth must be a finite number, got {value!r}")
-                meta[key] = value
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            if not header_seen:
-                if tuple(cells) != GRID_COLUMNS:
-                    raise InputError(
-                        f"{path}:{lineno}: expected header {','.join(GRID_COLUMNS)!r}"
-                    )
-                header_seen = True
-                continue
-            if len(cells) != len(GRID_COLUMNS):
-                raise InputError(f"{path}:{lineno}: expected {len(GRID_COLUMNS)} columns")
-            try:
-                rows.append(tuple(float(c) for c in cells))
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: non-numeric cell {cells!r}") from None
-            if not all(map(math.isfinite, rows[-1])):
-                raise InputError(f"{path}:{lineno}: non-finite cell {cells!r}")
-    if not rows:
+    for lineno, line in notes:
+        key, _, value = (part.strip() for part in line.lstrip("#").partition("="))
+        if not key:
+            raise InputError(f"{path}:{lineno}: malformed metadata line")
+        try:
+            finite = key != "halfwidth" or math.isfinite(float(value))
+        except ValueError:
+            finite = False
+        if not finite:
+            raise InputError(f"{path}:{lineno}: halfwidth must be a finite number, got {value!r}")
+        meta[key] = value
+    if not len(data):
         raise InputError(f"{path}: no data rows")
     if "halfwidth" not in meta:
         raise InputError(f"{path}: metadata block is missing the halfwidth entry")
-    data = np.array(rows)
-    grid_u = np.unique(data[:, 0])
-    grid_v = np.unique(data[:, 1])
-    if len(rows) != len(grid_u) * len(grid_v):
+    grid_u, grid_v = np.unique(data[:, 0]), np.unique(data[:, 1])
+    if len(data) != len(grid_u) * len(grid_v):
         raise InputError(f"{path}: rows do not form a complete lattice")
-    shape = (len(grid_u), len(grid_v))
     # u-major order is part of the format; verify rather than re-sort.
-    expect_u = np.repeat(grid_u, len(grid_v))
-    expect_v = np.tile(grid_v, len(grid_u))
-    if not (np.array_equal(data[:, 0], expect_u) and np.array_equal(data[:, 1], expect_v)):
+    uu, vv = np.meshgrid(grid_u, grid_v, indexing="ij")
+    if not (np.array_equal(data[:, 0], uu.ravel()) and np.array_equal(data[:, 1], vv.ravel())):
         raise InputError(f"{path}: rows are not in u-major lattice order")
-    return BandGrid(
-        grid_u=grid_u,
-        grid_v=grid_v,
-        estimate=data[:, 2].reshape(shape),
-        lower=data[:, 3].reshape(shape),
-        upper=data[:, 4].reshape(shape),
-        halfwidth=float(meta["halfwidth"]),
-        meta={k: v for k, v in meta.items() if k != "halfwidth"} or None,
-    )
+    surfaces = data[:, 2:].T.reshape(3, len(grid_u), len(grid_v))
+    return BandGrid(grid_u, grid_v, *surfaces, halfwidth=float(meta.pop("halfwidth")), meta=meta or None)

@@ -165,6 +165,16 @@ class TestPipeline:
         assert code == 3
         assert "error:input:" in err and f"{pairs}:" in err and "non-finite" in err
 
+    def test_line_break_in_a_path_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # The path is echoed into the metadata block, where a line break would
+        # inject a data row ("0.5,0.7") into the file.
+        monkeypatch.chdir(tmp_path)
+        code = run_cli("sample", "--family", "clayton", "--theta", "2", "--n", "20",
+                       "--seed", "1", "--out", "t\n0.5,0.7")
+        assert code == 2
+        assert "error:config:" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_estimate_grid_is_degenerate_band(self, tmp_path):
         s = str(tmp_path / "s.csv")
         e = str(tmp_path / "e.csv")

@@ -30,6 +30,7 @@ from reference_tables import (
     FRANK_DENSITY_TABLE,
     FRANK_TABLE,
     FRANK_TAU_TABLE,
+    GUMBEL_NEAR_DIAGONAL_TABLE,
 )
 
 MODELS = [
@@ -76,6 +77,21 @@ def assert_solves_gumbel(model, v, u, w):
     below, above = np.clip(below, 0.0, 1.0), np.clip(above, 0.0, 1.0)
     assert (conditional_cdf(model, below, u[miss]) <= w[miss]).all()
     assert (conditional_cdf(model, above, u[miss]) >= w[miss]).all()
+
+
+def gumbel_table_error(evaluate, column):
+    """Per-row error against GUMBEL_NEAR_DIAGONAL_TABLE in ulps of the reference,
+    over S = 1 + m + (theta - 1)|log r| + log1p((theta - 1)/m), m = max(x, y),
+    r = min(x, y)/m: the size of the terms that sum to log f, whose rounding exp
+    carries into f.  With v within e^(+-1/theta) of u, (theta - 1)|log r| stays
+    below about 1/m, so S grows with theta only as log theta."""
+    theta, u, v = np.array(GUMBEL_NEAR_DIAGONAL_TABLE)[:, :3].T
+    ref = np.array(GUMBEL_NEAR_DIAGONAL_TABLE)[:, column]
+    got = np.array([evaluate(CopulaModel("gumbel", t), a, b) for t, a, b in zip(theta, u, v)])
+    x, y = -np.log(u), -np.log(v)
+    m = np.maximum(x, y)
+    scale = 1.0 + m + (theta - 1.0) * np.abs(np.log(np.minimum(x, y) / m)) + np.log1p((theta - 1.0) / m)
+    return np.abs(got - ref) / ref / np.finfo(float).eps / scale
 
 
 def gumbel_y_at_40_digits(theta, u, w):
@@ -293,6 +309,11 @@ class TestDensity:
         got = np.array([density(CopulaModel("frank", t), a, b) for t, a, b in zip(theta, u, v)])
         assert np.max(np.abs(got - ref) / ref) <= 1e-14
 
+    def test_gumbel_near_the_diagonal_matches_mpmath_table(self):
+        # theta from 1 + 1e-9 to 1e6; the bound does not grow with theta (a form
+        # in log x + log y - 2 log s reaches 6.3e5 at theta = 1e6).
+        assert gumbel_table_error(density, 4).max() <= 4.0
+
     def test_log_abs_expm1_keeps_its_bytes_above_log_two(self):
         z = np.concatenate([np.geomspace(np.log(2.0), 700.0, 500), [5.0, 18.0, 350.0]])
         z = np.concatenate([z, -z])
@@ -374,6 +395,11 @@ class TestConditional:
                 g = (t * lu).exp() * ((-t * lv).exp() - 1)
                 want = float((-(t + 1) / t * (1 + g).ln()).exp())
                 assert ci == pytest.approx(want, rel=(theta + 4.0) * np.finfo(float).eps, abs=0.0)
+
+    def test_gumbel_near_the_diagonal_matches_mpmath_table(self):
+        # theta from 1 + 1e-9 to 1e6; the bound does not grow with theta (a form
+        # in log s and log x reaches 1.7e5 at theta = 1e6).
+        assert gumbel_table_error(lambda model, u, v: conditional_cdf(model, v, u), 3).max() <= 4.0
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label())
     def test_nondecreasing_in_v(self, model):
@@ -483,14 +509,12 @@ class TestInverseConditional:
             assert vi == pytest.approx(np.exp(-y), rel=rel, abs=1e-300)
 
     @given(
-        theta=st.floats(1.0, 1000.0),
+        theta=st.floats(1.0, 1e6),
         u=st.floats(5e-324, 1.0, exclude_max=True),
         w=st.floats(5e-324, 1.0, exclude_max=True),
     )
     @settings(max_examples=400, deadline=None)
     def test_gumbel_solves_or_sits_on_the_sign_change(self, theta, u, w):
-        # Above theta ~ 1e3 the rounding of conditional_cdf itself exceeds the step
-        # between neighbouring v; the 40-digit test above covers theta = 1e6.
         model = CopulaModel("gumbel", theta)
         u, w = np.array([u]), np.array([w])
         assert_solves_gumbel(model, inverse_conditional(model, w, u), u, w)

@@ -8,7 +8,7 @@ import pytest
 
 import llcopula
 from llcopula.bands import BandGrid
-from llcopula.errors import InputError
+from llcopula.errors import ConfigError, InputError
 from llcopula.gridio import (
     CsvDiagnostics,
     atomic_write,
@@ -79,6 +79,58 @@ class TestPairsCsv:
         with pytest.raises(InputError, match=":2: non-finite"):
             read_pairs_csv(str(path))
 
+    @pytest.mark.parametrize(
+        "rows, fault",
+        [
+            ("0.3,oops\n0.5\n", ":2: non-numeric"),
+            ("0.5\n0.3,oops\n", ":2: expected 2 columns, got 1"),
+            ("nan,1\n0.3,oops\n0.5\n", ":2: non-finite"),
+        ],
+    )
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, rows, fault):
+        path = tmp_path / "pairs.csv"
+        path.write_text(f"0.1,0.2\n{rows}")
+        with pytest.raises(InputError, match=fault):
+            read_pairs_csv(str(path))
+
+    @pytest.mark.parametrize("cell", [" 0.5", "+1", ".5", "5.", "1_0", "1\x1c", "1e-400"])
+    def test_cells_read_as_float_reads_them(self, tmp_path, cell):
+        path = tmp_path / "pairs.csv"
+        path.write_text(f"{cell},0.2\n0.3,{cell}\n")
+        sample, _ = read_pairs_csv(str(path))
+        assert sample.x.tolist() == [float(cell.strip()), 0.3]
+        assert sample.y.tolist() == [0.2, float(cell.strip())]
+
+    @pytest.mark.parametrize("cell", ["0x10", "1 0", "", "1e"])
+    def test_cells_float_rejects_are_non_numeric(self, tmp_path, cell):
+        path = tmp_path / "pairs.csv"
+        path.write_text(f"0.1,0.2\n0.3,{cell}\n")
+        with pytest.raises(InputError, match=":2: non-numeric"):
+            read_pairs_csv(str(path))
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_other_line_ends_read_as_line_feeds(self, tmp_path, newline):
+        text = "x,y\n# seed = 1\n0.1,0.2\n\n0.3,0.4\n  \n0.5,0.6\n"
+        reads = []
+        for end in ("\n", newline):
+            path = tmp_path / "pairs.csv"
+            path.write_bytes(text.replace("\n", end).encode())
+            reads.append(read_pairs_csv(str(path)))
+            path.write_bytes((text + "0.7,oops\n").replace("\n", end).encode())
+            with pytest.raises(InputError, match=":8: non-numeric"):
+                read_pairs_csv(str(path))
+        (want, want_diag), (got, got_diag) = reads
+        assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+        assert got_diag == want_diag == CsvDiagnostics(2, 1, True)
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_only_line_feeds_end_lines(self, tmp_path, char):
+        # str.splitlines() would also break at these and shift the line numbers.
+        path = tmp_path / "pairs.csv"
+        path.write_text(f"0.1,0.2\n# a{char}0.3,0.4\n0.5,0.6\n0.7,oops\n", encoding="utf-8")
+        with pytest.raises(InputError, match=":4: non-numeric"):
+            read_pairs_csv(str(path))
+
     def test_wrong_column_count_reports_line(self, tmp_path):
         path = tmp_path / "pairs.csv"
         path.write_text("0.1,0.2\n0.3,0.4,0.5\n")
@@ -143,6 +195,17 @@ class TestGridCsv:
         path = str(tmp_path / "grid.csv")
         write_grid_csv(make_band_grid(), path)
         assert os.listdir(tmp_path) == ["grid.csv"]
+
+    @pytest.mark.parametrize("cell, fault", [("nan", "non-finite"), ("oops", "non-numeric")])
+    def test_bad_cell_in_the_last_row_of_a_full_grid(self, tmp_path, cell, fault):
+        path = tmp_path / "grid.csv"
+        write_grid_csv(make_band_grid(k=101), str(path))
+        lines = path.read_text().split("\n")
+        last = 101 * 101 + 1  # the header is line 1
+        lines[last - 1] = lines[last - 1].rsplit(",", 1)[0] + "," + cell
+        path.write_text("\n".join(lines))
+        with pytest.raises(InputError, match=f":{last}: {fault} cell"):
+            read_grid_csv(str(path))
 
     def test_missing_halfwidth_metadata(self, tmp_path):
         path = tmp_path / "grid.csv"
@@ -213,6 +276,17 @@ class TestWriteCsv:
         with open(path, newline="") as fh:
             assert next(csv.reader(fh)) == ["a", "b", "c"]
             assert next(csv.reader(fh)) == list(rows[0])
+
+    @pytest.mark.parametrize("brk", ["\n", "\r"])
+    @pytest.mark.parametrize("where", ["cell", "key", "value"])
+    def test_line_break_raises_before_any_file(self, tmp_path, where, brk):
+        # The reader splits lines at line breaks: a written one would start a new row.
+        text = f"t{brk}0.5,0.7"
+        rows = [(1.0, text if where == "cell" else "ok")]
+        meta = {text if where == "key" else "k": text if where == "value" else "v"}
+        with pytest.raises(ConfigError, match="line break"):
+            write_csv(str(tmp_path / "t.csv"), ("a", "b"), rows, meta)
+        assert os.listdir(tmp_path) == []
 
 
 class TestAtomicWrite:

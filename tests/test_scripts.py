@@ -25,7 +25,6 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src
     "script, args, header",
     [
         ("bias_study.py", ["--n", "200", "--replicates", "3", "--halvings", "1"], "ratio to prev"),
-        ("containment_study.py", ["--n", "200", "--runs", "2"], "full runs"),
         ("coverage_study.py", ["--n", "200", "--replicates", "2", "--grid", "5"], "outer rate"),
     ],
 )
