@@ -20,7 +20,6 @@ from .errors import (
 from .estimator import (
     BandwidthPolicy,
     GridEvaluation,
-    empirical_copula,
     evaluate_grid,
     ll_copula_estimate,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "containment_report",
     "debye1",
     "density",
-    "empirical_copula",
     "empirical_kendall_tau",
     "epanechnikov",
     "epanechnikov_cdf",

@@ -7,16 +7,16 @@ h_max).  This per-axis rule is a deliberate deviation from the paper's joint
 bandwidth clamp(h_n * max{min(u, 1-u), min(v, 1-v)}^alpha, h_min, h_max): it
 keeps the factor of a grid row independent of the column, so the grid is a
 contraction of per-axis factors over the sample.  A factor is exactly 1 or 0
-outside its kernel window, so factors are built on the data sorted once
-(``kernels.SortedColumn``) and the local-linear CDF is evaluated only at the
-window's points, not at all n.  A point estimate fills one n-row per axis:
-ones and zeros by comparing each point's rank with the window's start, then
-the window's values scattered to their sample positions.  The grid builds no
-grid-by-n factor matrix: it streams over the data sorted by u in blocks
-(``_grid_sums``), in O(n + the windows' total width + grid size * BLOCK)
-memory.  Every factor value stays bitwise equal to evaluating the kernel at
-all n points.  The unsmoothed empirical copula is provided as the desk-scale
-oracle.
+outside its kernel window, so everything works on the sample's columns,
+sorted once (``PseudoSample.sorted_columns``), and the local-linear CDF is
+evaluated only at the window's points, not at all n.  A point estimate is a
+window sum: an integer count of the points before both windows, plus the
+u-window's values times the v-factor at those points, plus the v-window's
+values at the points before the u-window, over n.  The grid streams over the
+data sorted by u in blocks (``_grid_sums``), in O(n + the windows' total
+width + grid size * BLOCK) memory, and builds no grid-by-n factor matrix.
+Every factor value stays bitwise equal to evaluating the kernel at all n
+points; only the order of the sums differs from a plain mean.
 """
 
 from __future__ import annotations
@@ -94,15 +94,11 @@ def _inside(kern: LocalKernel, a: int, b: int, data: SortedColumn) -> np.ndarray
     return local_linear_cdf(kern, (kern.u - data.values[a:b]) / kern.h)
 
 
-def _axis_factor(coord: float, data: SortedColumn, policy: BandwidthPolicy, out: np.ndarray) -> np.ndarray:
-    """The factor at ``coord``, written into ``out`` in sample order."""
-    kern, a, b = _window(coord, data, policy)
-    return data.factor(a, b, _inside(kern, a, b, data), out)
-
-
 def ll_copula_estimate(sample: PseudoSample, u, v, policy: BandwidthPolicy):
     """Smoothed copula estimate at paired coordinates; clipped into [0, 1].
 
+    Each estimate is a window sum over the sorted columns, in O(n) time for
+    the count and O(window) for the rest, with numpy reductions only.
     Clipping matters only within float dust of the boundary, where negative
     local-linear weights can push the raw sum marginally outside.
     """
@@ -113,11 +109,18 @@ def ll_copula_estimate(sample: PseudoSample, u, v, policy: BandwidthPolicy):
         raise ConfigError("u and v must be paired arrays of equal shape")
     if (u < 0).any() or (u > 1).any() or (v < 0).any() or (v > 1).any():
         raise ConfigError("evaluation points must lie in the unit square")
-    su, sv = SortedColumn.of(sample.u), SortedColumn.of(sample.v)
-    fu, fv = np.empty(sample.n), np.empty(sample.n)
+    su, sv = sample.sorted_columns
+    v_rank = sv.rank[su.order]  # v-rank of the point at each u-sorted position
     flat = np.empty(u.size)
     for i, (uu, vv) in enumerate(zip(u.ravel(), v.ravel())):
-        flat[i] = np.mean(_axis_factor(uu, su, policy, fu) * _axis_factor(vv, sv, policy, fv))
+        ku, ua, ub = _window(uu, su, policy)
+        kv, va, vb = _window(vv, sv, policy)
+        fu, fv = _inside(ku, ua, ub, su), _inside(kv, va, vb, sv)
+        # The v-factor at the u-window's points: 1 before va, fv on [va, vb), 0 from vb.
+        at = np.clip(v_rank[ua:ub].astype(np.intp) - (va - 1), 0, vb - va + 1)
+        on_u = np.sum(fu * np.concatenate(([1.0], fv, [0.0]))[at])
+        on_v = np.sum(np.where(su.rank[sv.order[va:vb]] < ua, fv, 0.0))
+        flat[i] = (np.count_nonzero(v_rank[:ua] < va) + on_u + on_v) / sample.n
     out = np.clip(flat.reshape(u.shape), 0.0, 1.0)
     return unwrap(out, scalar)
 
@@ -220,18 +223,6 @@ def evaluate_grid(sample: PseudoSample, grid_size: int, policy: BandwidthPolicy)
     if grid_size < 2:
         raise ConfigError(f"grid size must be >= 2, got {grid_size}")
     grid = np.linspace(0.0, 1.0, grid_size)
-    sums = _grid_sums(grid, SortedColumn.of(sample.u), SortedColumn.of(sample.v), policy)
+    sums = _grid_sums(grid, *sample.sorted_columns, policy)
     values = np.clip(sums / sample.n, 0.0, 1.0)
     return GridEvaluation(grid_u=grid, grid_v=grid, values=values, n=sample.n)
-
-
-def empirical_copula(sample: PseudoSample, u, v):
-    """Unsmoothed indicator-average estimate (right-continuous step function).
-
-    One pass over the sample per query point, so memory stays O(n).
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u, v = np.broadcast_arrays(u, v)
-    out = np.array([np.mean((sample.u <= a) & (sample.v <= b)) for a, b in zip(u.ravel(), v.ravel())])
-    return unwrap(out.reshape(u.shape), u.ndim == 0)

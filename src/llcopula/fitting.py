@@ -21,6 +21,7 @@ from .families import (
     density,
     theta_from_tau,
 )
+from .kernels import SortedColumn
 from .margins import PseudoSample
 
 # Pseudo-observations are pulled off the boundary before taking log densities;
@@ -31,50 +32,67 @@ DENSITY_FLOOR = 1e-300
 DEFAULT_FAMILIES = (CLAYTON, GUMBEL, FRANK)
 
 
-def _tied_pairs(counts: np.ndarray) -> int:
+def _tied_pairs(ascending: np.ndarray) -> int:
+    """Pairs of equal values in a sorted array."""
+    counts = np.diff(np.flatnonzero(np.r_[True, ascending[1:] != ascending[:-1], True]))
     return int((counts * (counts - 1)).sum()) // 2
+
+
+def _dense_ranks(col: SortedColumn) -> np.ndarray:
+    """Each point's index among the column's distinct values."""
+    dense = np.empty(col.values.size, dtype=np.int64)
+    dense[col.order] = np.cumsum(np.r_[False, col.values[1:] != col.values[:-1]])
+    return dense
+
+
+# Pairs inside blocks of 2**TAU_BLOCK_BITS elements are counted all at once.
+TAU_BLOCK_BITS = 5
+_LATER = np.triu(np.ones((1 << TAU_BLOCK_BITS,) * 2, dtype=bool), 1)  # [i, j]: j > i
 
 
 def _discordant_pairs(ys: np.ndarray) -> int:
     """Pairs i < j with ys[i] > ys[j], for integer ys in [0, n).
 
-    A bottom-up merge sort (Knight 1966, JASA 61) with one sort and one
-    searchsorted per level.  At width w each w-block is sorted, so keyed by
-    2w-block * n + value the left halves form one sorted array.  A right-half
-    value y in 2w-block b follows (b + 1) * w left elements in blocks up to
-    its own; searchsorted counts those keyed <= b * n + y, and the rest are
-    the left elements of its block greater than y.  Sorting the keys then
-    merges each pair of halves.
-    """
+    Pairs inside 32-element blocks are counted by one broadcast comparison;
+    then a bottom-up merge sort (Knight 1966, JASA 61) from width 32, with
+    one sort and one searchsorted per level.  At width w each w-block is
+    sorted, so keyed by 2w-block * n + value the left halves form one sorted
+    array.  A right-half value y in 2w-block b follows (b + 1) * w left
+    elements in blocks up to its own; searchsorted counts those keyed
+    <= b * n + y, and the rest are the left elements of its block greater
+    than y.  Sorting the keys then merges each pair of halves."""
     n = len(ys)
+    # Padding with n, above every value, adds no pair and sorts to the end.
+    blocks = np.full((-(-n >> TAU_BLOCK_BITS), 1 << TAU_BLOCK_BITS), n, dtype=np.int64)
+    blocks.reshape(-1)[:n] = ys
+    count = int(np.count_nonzero((blocks[:, :, None] > blocks[:, None, :]) & _LATER))
+    ys = np.sort(blocks, axis=1).reshape(-1)[:n]
     pos = np.arange(n)
-    count = 0
-    width = 1
-    while width < n:
-        block = pos // (2 * width)
+    for bits in range(TAU_BLOCK_BITS, (n - 1).bit_length()):  # widths 32 <= w < n
+        block = pos >> (bits + 1)
         keys = block * n + ys
-        right = (pos // width) % 2 == 1
+        right = ((pos >> bits) & 1).astype(bool)
         below = np.searchsorted(keys[~right], keys[right], side="right")
-        count += int(((block[right] + 1) * width - below).sum())
+        count += int((((block[right] + 1) << bits) - below).sum())
         ys = np.sort(keys, kind="stable") - block * n
-        width *= 2
     return count
 
 
 def empirical_kendall_tau(sample: PseudoSample) -> float:
-    """Tau-a: (concordant - discordant) / C(n, 2), ties counting as neither."""
+    """Tau-a: (concordant - discordant) / C(n, 2), ties counting as neither.
+
+    Ranks and ties come from the sample's sorted columns; one sort of the
+    joint ranks gives both the joint ties and the inversion sequence."""
     n = sample.n
     if n < 2:
         raise ConfigError(f"kendall tau needs n >= 2, got {n}")
-    _, ru, count_u = np.unique(sample.u, return_inverse=True, return_counts=True)
-    _, rv, count_v = np.unique(sample.v, return_inverse=True, return_counts=True)
-    joint = ru * n + rv
+    su, sv = sample.sorted_columns
+    joint = np.sort(_dense_ranks(su) * n + _dense_ranks(sv))
     n0 = n * (n - 1) // 2
-    tie_xy = _tied_pairs(np.unique(joint, return_counts=True)[1])
     # Sorted by (u, v), x-ties are ordered by v, so inversions of the v ranks
     # are exactly the discordant pairs among those distinct in both coordinates.
-    discordant = _discordant_pairs(np.sort(joint) % n)
-    s = n0 - _tied_pairs(count_u) - _tied_pairs(count_v) + tie_xy - 2 * discordant
+    discordant = _discordant_pairs(joint % n)
+    s = n0 - _tied_pairs(su.values) - _tied_pairs(sv.values) + _tied_pairs(joint) - 2 * discordant
     return s / n0
 
 

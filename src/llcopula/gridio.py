@@ -68,13 +68,24 @@ def write_csv(path: str, header, rows, meta: dict | None = None) -> None:
     """Header, rows, then ``# key = value`` lines.  Cells and metadata values
     alike: floats at 17 significant digits, None empty, strings verbatim,
     except that a row cell holding a comma or a double quote is quoted.
-    A string holding a line break raises ``ConfigError`` before any file is
-    made.  ``rows`` may be a lazy iterable, so a large table is never held twice."""
+    A string holding a line break, or metadata that would not read back (a
+    key that is empty or holds "=", outer white space) raises ``ConfigError``
+    before any file is made.  ``rows`` may be a lazy iterable, so a large
+    table is never held twice."""
     lines = [",".join(header)]
     lines.extend(",".join(map(_cell, row)) for row in rows)
     for key, value in (meta or {}).items():
-        lines.append(f"# {_one_line(key)} = {_one_line(value) if isinstance(value, str) else _cell(value)}")
+        text = _one_line(value) if isinstance(value, str) else _cell(value)
+        # The reader strips both sides of a metadata line's first "=".
+        if not _one_line(key) or "=" in key or key != key.strip() or text != text.strip():
+            raise ConfigError(f"metadata {key!r} = {text!r} would not read back: a key must be non-empty "
+                              "and hold no '=', and neither key nor value may have outer white space")
+        lines.append(f"# {key} = {text}")
     atomic_write(path, "\n".join(lines) + "\n")
+
+
+# Data rows per numpy parse: bounds the text cells held at once.
+READ_BLOCK = 1024
 
 
 def _read_csv(path: str, ncols: int):
@@ -84,33 +95,45 @@ def _read_csv(path: str, ncols: int):
     counted and ``#`` ones, anywhere, kept in ``notes`` as ``(lineno, text)``.
     The first other line, at line ``first`` (0 if none), gives the ``header``
     cells if its first cell is not a float (else None); the rest are ``data``,
-    ``(m, ncols)`` finite floats.  A fault raises ``InputError`` at ``path:line``.
+    ``(m, ncols)`` finite floats, parsed READ_BLOCK rows at a time.  A fault
+    raises ``InputError`` at ``path:line``.
     """
     if not os.path.exists(path):
         raise InputError(f"no such file: {path}")
+    first, header, notes, blanks, rows, blocks = 0, None, [], 0, [], []
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if not lines[-1]:
-        lines.pop()  # the empty text after the final "\n"
-    lines = [line.strip() for line in lines]
-    notes = [(k, line) for k, line in enumerate(lines, 1) if line[:1] == "#"]
-    rows = [(k, line) for k, line in enumerate(lines, 1) if line[:1] not in ("", "#")]
-    blanks = len(lines) - len(notes) - len(rows)
-    first, header = (rows[0][0] if rows else 0), None
-    try:
-        if rows:
-            float(rows[0][1].split(",", 1)[0].strip())
-    except ValueError:
-        header = tuple(cell.strip() for cell in rows.pop(0)[1].split(","))
-        if len(header) != ncols:
-            raise InputError(f"{path}:{first}: expected {ncols} columns, got {len(header)} in the header") from None
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if line[:1] == "#":
+                notes.append((lineno, line))
+            elif not line:
+                blanks += 1
+            elif first:
+                rows.append((lineno, line))
+                if len(rows) == READ_BLOCK:
+                    blocks.append(_parse_rows(path, rows, ncols))
+                    rows = []
+            else:
+                first = lineno
+                try:
+                    float(line.split(",", 1)[0].strip())
+                    rows.append((lineno, line))
+                except ValueError:
+                    header = tuple(cell.strip() for cell in line.split(","))
+                    if len(header) != ncols:
+                        raise InputError(f"{path}:{first}: expected {ncols} columns, got {len(header)} in the header") from None
+    return first, header, np.concatenate([*blocks, _parse_rows(path, rows, ncols)]), notes, blanks
+
+
+def _parse_rows(path: str, rows, ncols: int) -> np.ndarray:
+    """``(lineno, line)`` rows as an ``(m, ncols)`` array of finite floats."""
     try:
         data = np.array([line.split(",") for _, line in rows], dtype=float).reshape(len(rows), ncols)
     except ValueError:
         data = None
     if data is not None and np.isfinite(data).all():
-        return first, header, data, notes, blanks
-    # Only a faulty or unusual file gets here: walk the rows with float(),
+        return data
+    # Only a faulty or unusual block gets here: walk the rows with float(),
     # which raises at the first fault in file order.
     values = []
     for lineno, line in rows:
@@ -123,7 +146,7 @@ def _read_csv(path: str, ncols: int):
             raise InputError(f"{path}:{lineno}: non-numeric cell {cells!r}") from None
         if not all(map(math.isfinite, values[-1])):
             raise InputError(f"{path}:{lineno}: non-finite cell {cells!r}")
-    return first, header, np.array(values), notes, blanks
+    return np.array(values)
 
 
 def read_pairs_csv(path: str) -> tuple[RawSample, CsvDiagnostics]:

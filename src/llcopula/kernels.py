@@ -8,9 +8,8 @@ independent oracle in the test suite.
 
 Both integrated kernels are flat outside their support, so ``SortedColumn``
 turns a sum over the data into a count plus a sum over one sorted window;
-the estimator's factor rows and the smoothed margins both use it.  A factor
-row is filled in sample order from the points' ranks, and only its window is
-scattered.
+the estimator's grid and point estimates and the smoothed margins all use it.
+A ``PseudoSample`` keeps one per column, sorted at most once.
 """
 
 from __future__ import annotations
@@ -174,14 +173,20 @@ class SortedColumn:
     rank: np.ndarray  # the inverse of order: rank[order[k]] = k
 
     @classmethod
-    def of(cls, data) -> "SortedColumn":
+    def of(cls, data, order=None) -> "SortedColumn":
+        """``data`` taken in ``order``, by default its argsort.  An argsort of
+        any values that ``data`` is nondecreasing in sorts ``data`` too."""
         # Tied points give equal terms, so their order within values is free.
         data = np.asarray(data, dtype=float)
-        order = np.argsort(data)
-        # The narrowest type that holds n: ``factor`` reads all of rank per row.
+        if order is None:
+            order = np.argsort(data)
+        # The narrowest type that holds n: the estimator compares and gathers all of rank.
         rank = np.empty(order.size, dtype=np.min_scalar_type(order.size))
         rank[order] = np.arange(order.size)
-        return cls(values=data[order], order=order, rank=rank)
+        col = cls(values=data[order], order=order, rank=rank)
+        for array in (col.values, col.order, col.rank):
+            array.flags.writeable = False  # a sample caches its columns: they must not change
+        return col
 
     def window(self, x, h, lo, hi):
         """Index range [a, b) outside which K((x - X)/h) is flat; vectorised over x.
@@ -194,14 +199,3 @@ class SortedColumn:
         a = np.searchsorted(self.values, x - h * hi - pad, side="left")
         b = np.searchsorted(self.values, x - h * lo + pad, side="right")
         return a, b
-
-    def factor(self, a, b, inside, out):
-        """Write one factor row into ``out`` in data order: 1 for values[:a],
-        ``inside`` for values[a:b] and 0 for values[b:].
-
-        The ones and zeros come from comparing each point's rank with a, so
-        only the window's b - a terms are scattered."""
-        # A Python int keeps the comparison in rank's narrow type.
-        np.less(self.rank, int(a), out=out)
-        out[self.order[a:b]] = inside
-        return out

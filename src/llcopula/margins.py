@@ -2,7 +2,9 @@
 
 Two routes: smoothed kernel marginal CDFs evaluated at the sample points, or
 empirical ranks rescaled by n/(n+1).  The estimation pipeline defaults to
-ranks; the smoothed route is kept for completeness.  A smoothed CDF value is
+ranks; the smoothed route is kept for completeness.  A ``PseudoSample`` sorts
+each column at most once (``sorted_columns``); the rank route hands over its
+argsorts, as ranks are nondecreasing in the raw values.  A smoothed CDF value is
 a count of the points below its kernel window plus a sum over the window, on
 the data sorted once (``kernels.SortedColumn``).  Inside the window the
 integrated kernel is a cubic, so the window sum comes from prefix sums of the
@@ -13,6 +15,7 @@ for n queries, however wide the window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,14 +53,16 @@ class RawSample:
 
 @dataclass(frozen=True)
 class PseudoSample:
-    """Pairs in [0,1]^2 ready for copula estimation."""
+    """Pairs in [0,1]^2 ready for copula estimation, as the sample's own
+    read-only copies, so that its sorted columns can never go stale."""
 
     u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
+        u = np.array(self.u, dtype=float)
+        v = np.array(self.v, dtype=float)
+        u.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         if u.ndim != 1 or v.ndim != 1 or len(u) != len(v):
@@ -71,6 +76,11 @@ class PseudoSample:
     @property
     def n(self) -> int:
         return len(self.u)
+
+    @cached_property
+    def sorted_columns(self) -> tuple[SortedColumn, SortedColumn]:
+        """The u and v columns as ``SortedColumn``, sorted on first use only."""
+        return SortedColumn.of(self.u), SortedColumn.of(self.v)
 
 
 def smoothed_marginal_cdf(values, bandwidth: float, x):
@@ -185,7 +195,7 @@ def to_pseudo_smoothed(sample: RawSample) -> PseudoSample:
     return PseudoSample(u=u, v=v)
 
 
-def _scaled_ranks(values: np.ndarray) -> np.ndarray:
+def _scaled_ranks(values: np.ndarray):
     # rank = count of sample values <= x_i; ties share the maximal rank,
     # matching the empirical CDF convention.  Searching the sorted values for
     # themselves walks the table in order, unlike n unsorted needles; ties get
@@ -194,12 +204,16 @@ def _scaled_ranks(values: np.ndarray) -> np.ndarray:
     sorted_values = values[order]
     ranks = np.empty(len(values), dtype=np.intp)
     ranks[order] = np.searchsorted(sorted_values, sorted_values, side="right")
-    return ranks / (len(values) + 1.0)
+    return ranks / (len(values) + 1.0), order
 
 
 def to_pseudo_ranks(sample: RawSample) -> PseudoSample:
     """Pseudo-observations (n/(n+1)) * F_n(X_i) from empirical ranks."""
-    return PseudoSample(u=_scaled_ranks(sample.x), v=_scaled_ranks(sample.y))
+    (u, order_u), (v, order_v) = _scaled_ranks(sample.x), _scaled_ranks(sample.y)
+    pseudo = PseudoSample(u=u, v=v)
+    # Fills the cached property, so the columns are never sorted again.
+    vars(pseudo)["sorted_columns"] = SortedColumn.of(pseudo.u, order_u), SortedColumn.of(pseudo.v, order_v)
+    return pseudo
 
 
 def to_pseudo(sample: RawSample, transform: str = TRANSFORM_RANK) -> PseudoSample:

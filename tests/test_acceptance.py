@@ -25,7 +25,6 @@ from llcopula.bands import (
 from llcopula.cli import main as cli_main
 from llcopula.estimator import (
     BandwidthPolicy,
-    empirical_copula,
     evaluate_grid,
     ll_copula_estimate,
 )
@@ -39,6 +38,7 @@ from llcopula.fitting import fit_families
 from llcopula.kernels import LocalKernel, local_linear_density
 from llcopula.margins import PseudoSample, RawSample, to_pseudo_ranks
 from llcopula.sampling import SeededStream, sample_copula
+from oracles import empirical_copula
 
 
 def report(num, name, ok, detail=""):

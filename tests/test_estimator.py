@@ -13,14 +13,15 @@ from llcopula.estimator import (
     GridEvaluation,
     _inside,
     _window,
-    empirical_copula,
     evaluate_grid,
     ll_copula_estimate,
 )
 from llcopula.families import CopulaModel, cdf
+from llcopula.fitting import empirical_kendall_tau
 from llcopula.kernels import LocalKernel, SortedColumn, local_linear_cdf
 from llcopula.margins import PseudoSample, RawSample, to_pseudo_ranks
 from llcopula.sampling import SeededStream, sample_copula
+from oracles import empirical_copula
 
 
 def make_sample(model, n, seed, rank=True):
@@ -49,6 +50,15 @@ def assert_grid_near_exact(values, ku, kv):
     n = ku.shape[1]
     exact = np.clip(np.array([[math.fsum(a * b) for b in kv] for a in ku]) / n, 0.0, 1.0)
     assert np.abs(values - exact).max() <= GRID_ULPS * np.finfo(float).eps
+
+
+def assert_points_near_exact(ps, uu, vv, pol):
+    """Point estimates, window sums in another order than one exact sum, are
+    held to the grid's bound against a per-point math.fsum of the dense products."""
+    products = (dense_factor(a, ps.u, pol) * dense_factor(b, ps.v, pol) for a, b in zip(np.ravel(uu), np.ravel(vv)))
+    exact = np.clip(np.array([math.fsum(p) for p in products]).reshape(np.shape(uu)) / ps.n, 0.0, 1.0)
+    got = ll_copula_estimate(ps, uu, vv, pol)
+    assert np.abs(got - exact).max() <= GRID_ULPS * np.finfo(float).eps
 
 
 def joint_bandwidth(u, v, pol):
@@ -245,43 +255,16 @@ class TestWindowedParity:
     def test_point_estimates_match_dense_oracle(self, case):
         ps, pol, grid = case
         uu, vv = np.meshgrid(grid, grid[::-1], indexing="ij")
-        want = [np.mean(dense_factor(a, ps.u, pol) * dense_factor(b, ps.v, pol)) for a, b in zip(uu.ravel(), vv.ravel())]
-        got = ll_copula_estimate(ps, uu, vv, pol)
-        assert np.array_equal(got, np.clip(np.array(want).reshape(uu.shape), 0.0, 1.0))
-
-
-class CountingRow(np.ndarray):
-    """A factor row that counts the elements assigned through an index array."""
-
-    scattered = 0
-
-    def __setitem__(self, key, value):
-        if isinstance(key, np.ndarray):
-            CountingRow.scattered += key.size
-        super().__setitem__(key, value)
+        assert_points_near_exact(ps, uu, vv, pol)
 
 
 @pytest.mark.parametrize("decimals", [None, 3], ids=["continuous", "ties"])
-def test_estimator_at_scale(decimals, monkeypatch):
+def test_estimator_at_scale(decimals):
     n = 100_000
     draws = sample_copula(CopulaModel("clayton", 2.0), n, SeededStream(8))
     x, y = (draws.u, draws.v) if decimals is None else (np.round(draws.u, 3), np.round(draws.v, 3))
     ps = to_pseudo_ranks(RawSample(x, y))
     pol = BandwidthPolicy.from_sample_size(n)
-    rows = []
-    factor = SortedColumn.factor
-
-    def counted(col, a, b, inside, out):
-        # Each row may scatter only its window and allocate no n-length temporary.
-        CountingRow.scattered = 0
-        tracemalloc.start()
-        factor(col, a, b, inside, out.view(CountingRow))
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        rows.append((CountingRow.scattered, b - a, peak))
-        return out
-
-    monkeypatch.setattr(SortedColumn, "factor", counted)
     grid = np.linspace(0.0, 1.0, 11)
     assert_windows_match_dense(grid, ps.u, pol)
     ku = np.stack([dense_factor(g, ps.u, pol) for g in grid])
@@ -289,12 +272,41 @@ def test_estimator_at_scale(decimals, monkeypatch):
     assert_grid_near_exact(evaluate_grid(ps, 11, pol).values, ku, kv)
     rng = np.random.default_rng(2)
     uu, vv = rng.random(10), rng.random(10)
-    want = [np.mean(dense_factor(a, ps.u, pol) * dense_factor(b, ps.v, pol)) for a, b in zip(uu, vv)]
-    assert np.array_equal(ll_copula_estimate(ps, uu, vv, pol), np.clip(want, 0.0, 1.0))
-    # Only the point estimates fill n-rows; the grid streams its factors in blocks.
-    assert len(rows) == 2 * 10
-    assert all(scattered <= width for scattered, width, _ in rows)
-    assert max(peak for _, _, peak in rows) < 8 * n
+    assert_points_near_exact(ps, uu, vv, pol)
+    # Window sums fill no n-length float row (two would take 16 n bytes).
+    # Their n-length temporaries are the v-rank per u-sorted point, in the
+    # ranks' narrow integer type, and one prefix compare.
+    tracemalloc.start()
+    try:
+        ll_copula_estimate(ps, uu, vv, pol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n
+
+
+def test_sample_keeps_its_own_columns():
+    # Mutating the caller's arrays after construction changes neither the
+    # sample's columns nor its estimates, before or after the columns are sorted.
+    rng = np.random.default_rng(4)
+    u, v = rng.random(200), rng.random(200)
+    pol = BandwidthPolicy.from_sample_size(200)
+    points = rng.random((5, 2))
+    fresh = PseudoSample(u.copy(), v.copy())
+    want = ll_copula_estimate(fresh, points[:, 0], points[:, 1], pol)
+    for sort_first in (False, True):
+        uu, vv = u.copy(), v.copy()
+        ps = PseudoSample(uu, vv)
+        if sort_first:
+            _ = ps.sorted_columns
+        uu[:] = 0.0
+        vv[::-1].sort()
+        assert np.array_equal(ps.u, u) and np.array_equal(ps.v, v)
+        assert np.array_equal(ll_copula_estimate(ps, points[:, 0], points[:, 1], pol), want)
+        assert empirical_kendall_tau(ps) == empirical_kendall_tau(fresh)
+        for array in (ps.u, *(a for col in ps.sorted_columns for a in (col.values, col.order, col.rank))):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 def test_grid_memory_at_scale():

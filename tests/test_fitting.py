@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from llcopula.errors import ConfigError
 from llcopula.families import CopulaModel, density, tau_from_theta
-from llcopula.fitting import empirical_kendall_tau, fit_families, log_likelihood
+from llcopula.fitting import _discordant_pairs, empirical_kendall_tau, fit_families, log_likelihood
 from llcopula.margins import PseudoSample, RawSample, to_pseudo_ranks
 from llcopula.sampling import SeededStream, sample_copula
 
@@ -48,6 +48,17 @@ class TestKendallTau:
         v = rng.integers(0, 6, n) / 10.0 + 0.1
         s = pseudo(u, v)
         assert empirical_kendall_tau(s) == brute_tau(u, v)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_discordant_pairs_match_quadratic_count(self, data):
+        # Lengths on both sides of the 32-element blocks' multiples, and a
+        # value range that may be small enough to force many ties.
+        n = data.draw(st.integers(0, 300) | st.sampled_from([31, 32, 33, 63, 64, 65, 257]))
+        top = data.draw(st.integers(0, max(n - 1, 0)))
+        ys = np.array(data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), dtype=np.int64)
+        want = sum(int((ys[i] > ys[i + 1 :]).sum()) for i in range(n))
+        assert _discordant_pairs(ys) == want
 
     def test_invariant_under_monotone_transforms(self):
         rng = np.random.default_rng(77)

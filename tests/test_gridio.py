@@ -1,6 +1,7 @@
 import ast
 import csv
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,25 @@ class TestPairsCsv:
         path.write_text(f"0.1,0.2\n{rows}")
         with pytest.raises(InputError, match=fault):
             read_pairs_csv(str(path))
+
+    @pytest.mark.parametrize("late", ["0.3", "nan,1", "0.3,oops"])
+    def test_first_fault_across_parse_blocks(self, tmp_path, late):
+        # Rows are parsed in blocks of about a thousand: with faults in two
+        # blocks, the earlier line is still the one reported.
+        rows = [f"{k},0.5" for k in range(3000)]
+        rows[1200], rows[2900] = "0.2,oops", late
+        path = tmp_path / "pairs.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(InputError, match=":1201: non-numeric"):
+            read_pairs_csv(str(path))
+
+    def test_float_only_cell_in_a_later_block_reads(self, tmp_path):
+        rows = [f"{k},0.5" for k in range(3000)]
+        rows[2500] = "1_0,0.5"
+        path = tmp_path / "pairs.csv"
+        path.write_text("\n".join(rows) + "\n")
+        sample, _ = read_pairs_csv(str(path))
+        assert sample.x[2500] == 10.0 and np.array_equal(np.delete(sample.x, 2500), np.delete(np.arange(3000.0), 2500))
 
     @pytest.mark.parametrize("cell", [" 0.5", "+1", ".5", "5.", "1_0", "1\x1c", "1e-400"])
     def test_cells_read_as_float_reads_them(self, tmp_path, cell):
@@ -190,6 +210,38 @@ class TestGridCsv:
         ]
         us = [float(r[0]) for r in rows]
         assert us == sorted(us)
+
+    @pytest.mark.parametrize(
+        "meta",
+        [{"": "v"}, {"a=b": "1"}, {" k": "v"}, {"k\t": "v"}, {"input_path": " x.csv "}, {"k": "v "}, {"k": " "}],
+        ids=["empty key", "= in key", "key leading space", "key trailing tab", "value spaces", "value trailing", "blank value"],
+    )
+    def test_metadata_that_would_not_read_back_raises(self, tmp_path, meta):
+        # The reader strips both sides of the first "=": these would come
+        # back as other keys or values, so the write fails before any file.
+        with pytest.raises(ConfigError, match="metadata"):
+            write_grid_csv(make_band_grid(meta=meta), str(tmp_path / "grid.csv"))
+        assert os.listdir(tmp_path) == []
+
+    def test_metadata_reads_back_verbatim(self, tmp_path):
+        # Inner white space and "=" in values, and inner spaces in keys, are kept.
+        meta = {"input_path": "a b = c.csv", "k x": "=", "empty": "", "tab": "1\t2"}
+        path = str(tmp_path / "grid.csv")
+        write_grid_csv(make_band_grid(meta=meta), path)
+        assert read_grid_csv(path).meta == meta
+
+    def test_reader_memory_is_bounded_by_its_blocks(self, tmp_path):
+        # Rows are parsed in blocks, so the text cells of the whole file are
+        # never held at once; parsing all 10,201 rows in one call peaks at 8 MB.
+        path = str(tmp_path / "grid.csv")
+        write_grid_csv(make_band_grid(k=101), path)
+        tracemalloc.start()
+        try:
+            read_grid_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_no_temp_file_left(self, tmp_path):
         path = str(tmp_path / "grid.csv")

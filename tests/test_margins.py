@@ -127,7 +127,7 @@ def count_kernel_elements(monkeypatch):
         for name, obj in list(vars(module).items()):
             if inspect.isfunction(obj) and obj.__module__ == kernels.__name__:
                 monkeypatch.setattr(module, name, counting(obj))
-    for name in ("of", "window", "factor"):
+    for name in ("of", "window"):
         monkeypatch.setattr(kernels.SortedColumn, name, counting(getattr(kernels.SortedColumn, name)))
     return counted
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from llcopula.errors import ConfigError
-from llcopula.estimator import empirical_copula
 from llcopula.families import CopulaModel, cdf, conditional_cdf, tau_from_theta
 from llcopula.fitting import empirical_kendall_tau
 from llcopula.sampling import SeededStream, sample_copula
+from oracles import empirical_copula
 
 FAMILY_CASES = [
     CopulaModel("clayton", 2.0),
