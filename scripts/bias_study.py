@@ -40,7 +40,7 @@ def main():
     prev = None
     for k in range(args.halvings + 1):
         h = args.h0 / 2**k
-        policy = BandwidthPolicy(h_n=h, h_min=1e-6, h_max=0.499, shrink_enabled=False)
+        policy = BandwidthPolicy(h_n=h, h_min=h, h_max=h)  # h at every coordinate
         values = np.array(
             [
                 ll_copula_estimate(sample_copula(model, args.n, SeededStream(sd)), u0, v0, policy)

@@ -2,7 +2,7 @@
 """Byte report: run a fixed set of CLI commands, then compare output files.
 
     python3 scripts/byte_report.py run OUT          # run the set into OUT, print SHA-256 per file
-    python3 scripts/byte_report.py diff OUT_A OUT_B # the largest numeric move in each file that differs
+    python3 scripts/byte_report.py diff OUT_A OUT_B # what moved in each file that differs
 
 The set is ``sample`` for Clayton, Frank and Gumbel at n = 1000; ``estimate``
 and ``bands`` on the Clayton sample at 101 and 31 nodes, rank and smoothed,
@@ -10,7 +10,9 @@ and ``bands`` on the Clayton sample at 101 and 31 nodes, rank and smoothed,
 ``reproduce`` for Clayton and Frank at n = 500.  The commands run inside OUT
 with relative paths, because every output file echoes its command line.  To
 compare two checkouts, run the set once with each checkout's ``src`` on
-PYTHONPATH, then diff the two directories.
+PYTHONPATH, then diff the two directories.  For each file that differs,
+``diff`` names the ``# key = value`` metadata entries added, removed or
+changed, and separately the largest numeric move over the rest of the file.
 """
 
 import argparse
@@ -72,6 +74,37 @@ def largest_move(a: bytes, b: bytes):
     return sum(m > 0 for m in moves), len(moves), max(moves, default=0.0)
 
 
+def split_meta(data: bytes):
+    """The file without its ``# key = value`` lines, and those entries as a dict."""
+    rest, meta = [], {}
+    for line in data.split(b"\n"):
+        if line.startswith(b"# ") and b" = " in line:
+            key, _, value = line[2:].partition(b" = ")
+            meta[key.decode()] = value.decode()
+        else:
+            rest.append(line)
+    return b"\n".join(rest), meta
+
+
+def describe(a: bytes, b: bytes) -> str:
+    """The metadata keys added, removed or changed from ``a`` to ``b``, and
+    the largest numeric move over the rest."""
+    rest_a, meta_a = split_meta(a)
+    rest_b, meta_b = split_meta(b)
+    notes = []
+    if rest_a == rest_b:
+        notes.append("data rows byte-identical")
+    else:
+        moved = largest_move(rest_a, rest_b)
+        notes.append("text differs apart from its numbers" if moved is None
+                     else f"{moved[0]} of {moved[1]} numbers moved, largest by {moved[2]:.3g}")
+    for kind, keys in (("added", meta_b.keys() - meta_a.keys()), ("removed", meta_a.keys() - meta_b.keys()),
+                       ("changed", {k for k in meta_a.keys() & meta_b.keys() if meta_a[k] != meta_b[k]})):
+        if keys:
+            notes.append(f"metadata {kind}: {', '.join(sorted(keys))}")
+    return "; ".join(notes)
+
+
 def diff(first: Path, second: Path) -> None:
     names = sorted({p.name for p in first.iterdir()} | {p.name for p in second.iterdir()})
     same = 0
@@ -84,11 +117,7 @@ def diff(first: Path, second: Path) -> None:
         if data_a == data_b:
             same += 1
             continue
-        moved = largest_move(data_a, data_b)
-        if moved is None:
-            print(f"{name}: text differs apart from its numbers")
-        else:
-            print(f"{name}: {moved[0]} of {moved[1]} numbers moved, largest by {moved[2]:.3g}")
+        print(f"{name}: {describe(data_a, data_b)}")
     print(f"{same} of {len(names)} files byte-identical")
 
 

@@ -39,11 +39,8 @@ from .gridio import read_grid_csv, read_pairs_csv, write_grid_csv, write_pairs_c
 from .kernels import (
     KernelMoments,
     LocalKernel,
-    epanechnikov,
-    epanechnikov_cdf,
     kernel_moments,
     local_linear_cdf,
-    local_linear_density,
 )
 from .margins import (
     PseudoSample,
@@ -86,15 +83,12 @@ __all__ = [
     "debye1",
     "density",
     "empirical_kendall_tau",
-    "epanechnikov",
-    "epanechnikov_cdf",
     "evaluate_grid",
     "fit_families",
     "inverse_conditional",
     "kernel_moments",
     "ll_copula_estimate",
     "local_linear_cdf",
-    "local_linear_density",
     "log_likelihood",
     "rate_rn",
     "read_grid_csv",

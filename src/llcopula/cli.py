@@ -10,6 +10,7 @@ argparse usage error, exit code 2.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -19,7 +20,7 @@ from .errors import ConfigError, LLCopulaError
 from .estimator import BandwidthPolicy, evaluate_grid, ll_copula_estimate
 from .families import CLAYTON, FRANK, INDEPENDENCE, CopulaModel, cdf
 from .fitting import fit_families
-from .gridio import read_grid_csv, read_pairs_csv, write_csv, write_grid_csv, write_pairs_csv
+from .gridio import meta_line, read_grid_csv, read_pairs_csv, write_csv, write_grid_csv, write_pairs_csv
 from .margins import RawSample, to_pseudo
 from .plotting import render_surface_svg
 from .sampling import SeededStream, sample_copula
@@ -110,18 +111,25 @@ def validate_config(config: RunConfig) -> list[str]:
         problems.append(f"seed must fit in 64 unsigned bits, got {config.seed}")
     if config.grid_size < 2:
         problems.append(f"grid size must be >= 2, got {config.grid_size}")
-    if not config.alpha > 0:
+    if not (math.isfinite(config.alpha) and config.alpha > 0):
         problems.append(f"shrink exponent must be positive, got {config.alpha}")
-    if config.h_n is not None and not config.h_n > 0:
+    if config.h_n is not None and not (math.isfinite(config.h_n) and config.h_n > 0):
         problems.append(f"bandwidth override must be positive, got {config.h_n}")
     if not 0 < config.A_c <= 3:
         problems.append(f"rate constant must satisfy 0 < A_c <= 3, got {config.A_c}")
-    if config.epsilon < 0:
+    if not (math.isfinite(config.epsilon) and config.epsilon >= 0):
         problems.append(f"inflation must be nonnegative, got {config.epsilon}")
     if config.command in ("estimate", "bands", "fit", "plot") and not config.input_path:
         problems.append(f"{config.command} requires --in")
     if config.command != "fit" and not config.output_path:
         problems.append(f"{config.command} requires --out")
+    # Every command but plot echoes the configuration into its output file.
+    if config.command != "plot" and config.output_path:
+        for key, value in config.as_meta().items():
+            try:
+                meta_line(key, value)
+            except ConfigError as exc:
+                problems.append(str(exc))
     if len(config.overlays) > 3:
         problems.append("at most 3 overlays are supported")
     for overlay in config.overlays:
@@ -155,7 +163,6 @@ def _estimate_from_file(config: RunConfig):
         "policy_h_min": policy.h_min,
         "policy_h_max": policy.h_max,
         "policy_alpha": policy.alpha,
-        "policy_shrink": str(policy.shrink_enabled),
     }
     return evaluate_grid(pseudo, config.grid_size, policy), meta
 

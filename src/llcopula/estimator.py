@@ -37,14 +37,14 @@ class BandwidthPolicy:
     """Global bandwidth rate plus the shrinkage and clamping rules.
 
     ``from_sample_size`` fills the defaults: h_n = 1/log n, clamp floor
-    log(n)/n, clamp ceiling ((log log n)/n)^(1/4), shrink exponent 1/2.
+    log(n)/n, clamp ceiling ((log log n)/n)^(1/4), shrink exponent 1/2.  A
+    constant bandwidth h is ``BandwidthPolicy(h_n=h, h_min=h, h_max=h)``.
     """
 
     h_n: float
     h_min: float
     h_max: float
     alpha: float = 0.5
-    shrink_enabled: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.h_n) and self.h_n > 0):
@@ -70,12 +70,10 @@ class BandwidthPolicy:
 
     def bandwidth(self, coord) -> float:
         """Bandwidth of one coordinate c in [0, 1]: clamp(h_n * min(c, 1-c)^alpha,
-        h_min, h_max), or the clamped h_n when shrinkage is off."""
+        h_min, h_max)."""
         c = np.asarray(coord, dtype=float)
         if not 0.0 <= c <= 1.0:
             raise ConfigError(f"bandwidth coordinate must lie in [0, 1], got {coord}")
-        if not self.shrink_enabled:
-            return float(np.clip(self.h_n, self.h_min, self.h_max))
         factor = np.minimum(c**self.alpha, (1.0 - c) ** self.alpha)
         return float(np.clip(self.h_n * factor, self.h_min, self.h_max))
 

@@ -2,11 +2,15 @@
 
 Provides the CDF, the density (mixed second partial), the conditional CDF
 given the first coordinate, its inverse, and the Kendall-tau <-> parameter
-maps.  Frank quantities are evaluated through exp/expm1 groupings chosen so
-that no catastrophic cancellation occurs anywhere on the supported parameter
-range; Clayton and Gumbel work in log space where their powers would
-overflow.  Frank's tau and the Debye function behind it come from two series
-to a few ulps, and tau is inverted by bisection to 1 ulp; numpy alone.
+maps.  The four functions of (model, a, b) check and broadcast their
+arguments through one helper (``_unit_args``), and ``cdf`` applies the
+uniform-margin boundary identities once around each family's interior
+formula.  Frank quantities are evaluated through exp/expm1 groupings chosen
+so that no catastrophic cancellation occurs anywhere on the supported
+parameter range; Clayton's u^-theta + v^-theta - 1 is a sum of expm1 terms
+near theta = 0, and Clayton and Gumbel work in log space where their powers
+would overflow.  Frank's tau and the Debye function behind it come from two
+series to a few ulps, and tau is inverted by bisection to 1 ulp; numpy alone.
 """
 
 from __future__ import annotations
@@ -65,13 +69,21 @@ class CopulaModel:
         return f"{self.family} theta={self.theta:g}"
 
 
-def _check_range(arr, name, strict=False):
-    bad = (arr < 0.0) | (arr > 1.0) | ~np.isfinite(arr)
-    if strict:
-        bad |= (arr == 0.0) | (arr == 1.0)
-    if bad.any():
-        kind = "strictly inside" if strict else "in"
-        raise ConfigError(f"{name} must lie {kind} [0.0, 1.0]")
+def _unit_args(a, b, names, strict):
+    """The pair ``a``, ``b`` as float arrays of at least one dimension and one
+    broadcast shape, plus whether that shape is scalar.  Each is checked in
+    turn to lie in [0, 1], or strictly inside where its ``strict`` flag is set;
+    ``ConfigError`` names the first that does not."""
+    pair = [np.asarray(a, dtype=float), np.asarray(b, dtype=float)]
+    for arr, name, strict_one in zip(pair, names, strict):
+        bad = (arr < 0.0) | (arr > 1.0) | ~np.isfinite(arr)
+        if strict_one:
+            bad |= (arr == 0.0) | (arr == 1.0)
+        if bad.any():
+            kind = "strictly inside" if strict_one else "in"
+            raise ConfigError(f"{name} must lie {kind} [0.0, 1.0]")
+    a, b = np.broadcast_arrays(*pair)
+    return np.atleast_1d(a).astype(float), np.atleast_1d(b).astype(float), a.ndim == 0
 
 
 def _log1mexp(a):
@@ -97,39 +109,21 @@ def _frank_denom(theta, u, v):
     )
 
 
-def _boundary_frame(u, v, interior_value):
-    """Apply the uniform-margin boundary identities around interior values."""
-    out = np.array(interior_value, dtype=float, copy=True)
-    u1 = u >= 1.0
-    v1 = v >= 1.0
-    out[u1] = v[u1]
-    out[v1] = u[v1]
-    zero = (u <= 0.0) | (v <= 0.0)
-    out[zero] = 0.0
-    return out
-
-
 def _clayton_log_sum(theta, u, v):
-    """log(u^-theta + v^-theta - 1) with the larger power factored out."""
+    """L = log(u^-theta + v^-theta - 1) at interior u, v, with a = -theta log u,
+    b = -theta log v.  Where max(a, b) < 1 it is log1p(expm1(a) + expm1(b)), a
+    sum of nonnegative terms that does not cancel as theta -> 0; elsewhere the
+    larger power is factored out, so nothing overflows."""
     a = -theta * np.log(u)
     b = -theta * np.log(v)
     m = np.maximum(a, b)
-    return m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m))
+    with np.errstate(over="ignore"):
+        summed = np.log1p(np.expm1(a) + np.expm1(b))
+    return np.where(m < 1.0, summed, m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m)))
 
 
 def _clayton_cdf(theta, u, v):
-    out = np.zeros_like(u)
-    inner = (u > 0.0) & (v > 0.0) & (u < 1.0) & (v < 1.0)
-    ui, vi = u[inner], v[inner]
-    with np.errstate(over="ignore"):
-        a = np.exp(-theta * np.log(ui)) + np.exp(-theta * np.log(vi)) - 1.0
-    c = np.exp(-np.log(a) / theta)
-    # Where a power overflows (large theta, small u or v) that form gives 0.
-    big = np.isinf(a)
-    if big.any():
-        c[big] = np.exp(-_clayton_log_sum(theta, ui[big], vi[big]) / theta)
-    out[inner] = c
-    return _boundary_frame(u, v, out)
+    return np.exp(-_clayton_log_sum(theta, u, v) / theta)
 
 
 def _frank_cdf(theta, u, v):
@@ -142,27 +136,19 @@ def _frank_cdf(theta, u, v):
     1.5e-14 at -200, 2.8e-14 at -350), where the rounding of theta * u in the
     input is amplified.
     """
-    out = np.zeros_like(u)
-    inner = (u > 0.0) & (v > 0.0) & (u < 1.0) & (v < 1.0)
-    ui, vi = u[inner], v[inner]
-    q = np.expm1(-theta * ui) * np.expm1(-theta * vi) / np.expm1(-theta)
+    q = np.expm1(-theta * u) * np.expm1(-theta * v) / np.expm1(-theta)
     near = q > -0.5
     c = np.empty_like(q)
     c[near] = -np.log1p(q[near]) / theta
-    c[~near] = -np.log(_frank_denom(theta, ui[~near], vi[~near]) / np.expm1(-theta)) / theta
-    out[inner] = c
-    return _boundary_frame(u, v, out)
+    c[~near] = -np.log(_frank_denom(theta, u[~near], v[~near]) / np.expm1(-theta)) / theta
+    return c
 
 
 def _gumbel_cdf(theta, u, v):
-    out = np.zeros_like(u)
-    inner = (u > 0.0) & (v > 0.0) & (u < 1.0) & (v < 1.0)
-    x = -np.log(u[inner])
-    y = -np.log(v[inner])
+    x, y = -np.log(u), -np.log(v)
     # s = (x^theta + y^theta)^(1/theta) without overflow: factor out max(x, y).
     big, small = np.maximum(x, y), np.minimum(x, y)
-    out[inner] = np.exp(-big * np.exp(np.log1p((small / big) ** theta) / theta))
-    return _boundary_frame(u, v, out)
+    return np.exp(-big * np.exp(np.log1p((small / big) ** theta) / theta))
 
 
 def _gumbel_terms(theta, u, v):
@@ -184,36 +170,25 @@ def _gumbel_terms(theta, u, v):
 
 
 def cdf(model: CopulaModel, u, v):
-    """Copula CDF C(u, v); boundary identities are exact branches."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_range(u, "u")
-    _check_range(v, "v")
-    u, v = np.broadcast_arrays(u, v)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u).astype(float)
-    v = np.atleast_1d(v).astype(float)
+    """Copula CDF C(u, v).  The family's formula runs on interior points only;
+    the uniform-margin identities C(u, 1) = u, C(1, v) = v and C = 0 on the
+    lower edges are exact branches."""
+    u, v, scalar = _unit_args(u, v, ("u", "v"), (False, False))
     if model.family == INDEPENDENCE:
-        out = u * v
-    elif model.family == CLAYTON:
-        out = _clayton_cdf(model.theta, u, v)
-    elif model.family == FRANK:
-        out = _frank_cdf(model.theta, u, v)
-    else:
-        out = _gumbel_cdf(model.theta, u, v)
+        return unwrap(u * v, scalar)
+    out = np.zeros_like(u)
+    inner = (u > 0.0) & (v > 0.0) & (u < 1.0) & (v < 1.0)
+    interior_cdf = {CLAYTON: _clayton_cdf, FRANK: _frank_cdf, GUMBEL: _gumbel_cdf}[model.family]
+    out[inner] = interior_cdf(model.theta, u[inner], v[inner])
+    out[u >= 1.0] = v[u >= 1.0]
+    out[v >= 1.0] = u[v >= 1.0]
+    out[(u <= 0.0) | (v <= 0.0)] = 0.0
     return unwrap(out, scalar)
 
 
 def density(model: CopulaModel, u, v):
     """Copula density C_12 = d^2 C / du dv at strictly interior points."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_range(u, "u", strict=True)
-    _check_range(v, "v", strict=True)
-    u, v = np.broadcast_arrays(u, v)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u).astype(float)
-    v = np.atleast_1d(v).astype(float)
+    u, v, scalar = _unit_args(u, v, ("u", "v"), (True, True))
     theta = model.theta
     if model.family == INDEPENDENCE:
         out = np.ones_like(u)
@@ -243,14 +218,7 @@ def density(model: CopulaModel, u, v):
 
 def conditional_cdf(model: CopulaModel, v, given_u):
     """C_2(v | u) = dC(u, v)/du, the conditional CDF of V given U = u."""
-    v = np.asarray(v, dtype=float)
-    given_u = np.asarray(given_u, dtype=float)
-    _check_range(v, "v")
-    _check_range(given_u, "given_u", strict=True)
-    v, u = np.broadcast_arrays(v, given_u)
-    scalar = v.ndim == 0
-    v = np.atleast_1d(v).astype(float)
-    u = np.atleast_1d(u).astype(float)
+    v, u, scalar = _unit_args(v, given_u, ("v", "given_u"), (False, True))
     theta = model.theta
     inner = (v > 0.0) & (v < 1.0)
     out = np.where(v >= 1.0, 1.0, 0.0)
@@ -289,14 +257,7 @@ def inverse_conditional(model: CopulaModel, w, given_u):
     :func:`_gumbel_inverse`), so it converges wherever C_2 itself is too steep
     in v for any v to meet a fixed tolerance in w.
     """
-    w = np.asarray(w, dtype=float)
-    given_u = np.asarray(given_u, dtype=float)
-    _check_range(w, "w", strict=True)
-    _check_range(given_u, "given_u", strict=True)
-    w, u = np.broadcast_arrays(w, given_u)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w).astype(float)
-    u = np.atleast_1d(u).astype(float)
+    w, u, scalar = _unit_args(w, given_u, ("w", "given_u"), (True, True))
     theta = model.theta
     if model.family == INDEPENDENCE:
         out = w.copy()
@@ -318,7 +279,7 @@ def inverse_conditional(model: CopulaModel, w, given_u):
         den = w + (1.0 - w) * eu
         out = -np.log(num / den) / theta
     else:
-        out = _gumbel_inverse(theta, w, u)
+        out = _gumbel_inverse(theta, w.ravel(), u.ravel()).reshape(w.shape)
     out = np.clip(out, 0.0, 1.0)
     return unwrap(out, scalar)
 

@@ -64,23 +64,28 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
+def meta_line(key: str, value) -> str:
+    """The ``# key = value`` line of one metadata entry: a float at 17
+    significant digits, None empty, a string verbatim.  Metadata that would
+    not read back (a line break, a key that is empty or holds "=", outer
+    white space) raises ``ConfigError``."""
+    text = _one_line(value) if isinstance(value, str) else _cell(value)
+    # The reader strips both sides of a metadata line's first "=".
+    if not _one_line(key) or "=" in key or key != key.strip() or text != text.strip():
+        raise ConfigError(f"metadata {key!r} = {text!r} would not read back: a key must be non-empty "
+                          "and hold no '=', and neither key nor value may have outer white space")
+    return f"# {key} = {text}"
+
+
 def write_csv(path: str, header, rows, meta: dict | None = None) -> None:
-    """Header, rows, then ``# key = value`` lines.  Cells and metadata values
-    alike: floats at 17 significant digits, None empty, strings verbatim,
-    except that a row cell holding a comma or a double quote is quoted.
-    A string holding a line break, or metadata that would not read back (a
-    key that is empty or holds "=", outer white space) raises ``ConfigError``
-    before any file is made.  ``rows`` may be a lazy iterable, so a large
-    table is never held twice."""
+    """Header, rows, then one ``meta_line`` per metadata entry.  Cells are
+    written as metadata values are, except that a cell holding a comma or a
+    double quote is quoted.  A string holding a line break, or metadata that
+    would not read back, raises ``ConfigError`` before any file is made.
+    ``rows`` may be a lazy iterable, so a large table is never held twice."""
     lines = [",".join(header)]
     lines.extend(",".join(map(_cell, row)) for row in rows)
-    for key, value in (meta or {}).items():
-        text = _one_line(value) if isinstance(value, str) else _cell(value)
-        # The reader strips both sides of a metadata line's first "=".
-        if not _one_line(key) or "=" in key or key != key.strip() or text != text.strip():
-            raise ConfigError(f"metadata {key!r} = {text!r} would not read back: a key must be non-empty "
-                              "and hold no '=', and neither key nor value may have outer white space")
-        lines.append(f"# {key} = {text}")
+    lines.extend(meta_line(key, value) for key, value in (meta or {}).items())
     atomic_write(path, "\n".join(lines) + "\n")
 
 

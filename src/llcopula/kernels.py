@@ -1,10 +1,12 @@
-"""Epanechnikov kernel, truncated moments, and the local-linear boundary kernel.
+"""Truncated Epanechnikov moments and the local-linear boundary kernel's CDF.
 
-Everything here is a closed-form piecewise polynomial: the truncated moments
-are antiderivatives of ``t^j * k(t)`` evaluated on the effective support, and
+Everything here is a closed-form piecewise polynomial in the Epanechnikov
+kernel k(t) = 0.75 (1 - t^2) on [-1, 1]: the truncated moments are
+antiderivatives of ``t^j * k(t)`` evaluated on the effective support, and
 the local-linear CDF integrates ``k(t) * (a2 - a1 t)`` into one quartic,
-evaluated by Horner's rule.  Numerical quadrature is used only as an
-independent oracle in the test suite.
+evaluated by Horner's rule.  The kernel itself, its plain CDF and the
+local-linear density serve only the tests, as independent oracles next to
+numerical quadrature (``tests/oracles.py``).
 
 Both integrated kernels are flat outside their support, so ``SortedColumn``
 turns a sum over the data into a count plus a sum over one sorted window;
@@ -24,22 +26,6 @@ from .errors import ConfigError, DegenerateKernelError
 # Floor for the correction denominator a0*a2 - a1^2; it is strictly positive
 # on any nondegenerate interval, so a smaller value signals pathological h.
 DET_FLOOR = 1e-14
-
-
-def epanechnikov(t):
-    """Kernel density 0.75 * (1 - t^2) for |t| <= 1, zero outside."""
-    t = np.asarray(t, dtype=float)
-    out = np.where(np.abs(t) <= 1.0, 0.75 * (1.0 - t * t), 0.0)
-    return unwrap(out, out.ndim == 0)
-
-
-def epanechnikov_cdf(x):
-    """Integral of the Epanechnikov density from -inf to x (plain, uncorrected)."""
-    x = np.asarray(x, dtype=float)
-    xc = np.clip(x, -1.0, 1.0)
-    out = 0.5 + 0.75 * xc - 0.25 * xc**3
-    out = np.where(x <= -1.0, 0.0, np.where(x >= 1.0, 1.0, out))
-    return unwrap(out, out.ndim == 0)
 
 
 # Antiderivatives of t^j * 0.75*(1 - t^2) for j = 0, 1, 2.
@@ -114,16 +100,6 @@ class LocalKernel:
     @classmethod
     def at(cls, u: float, h: float) -> "LocalKernel":
         return cls(u=float(u), h=float(h), moments=kernel_moments(u, h))
-
-
-def local_linear_density(kern: LocalKernel, t):
-    """Corrected kernel density at t; zero outside [lo, hi]."""
-    m = kern.moments
-    t = np.asarray(t, dtype=float)
-    inside = (t >= m.lo) & (t <= m.hi)
-    weight = (m.a2 - m.a1 * t) / m.det
-    out = np.where(inside, epanechnikov(t) * weight, 0.0)
-    return unwrap(out, out.ndim == 0)
 
 
 def local_linear_cdf(kern: LocalKernel, x):

@@ -35,10 +35,10 @@ from llcopula.families import (
     theta_from_tau,
 )
 from llcopula.fitting import fit_families
-from llcopula.kernels import LocalKernel, local_linear_density
+from llcopula.kernels import LocalKernel
 from llcopula.margins import PseudoSample, RawSample, to_pseudo_ranks
 from llcopula.sampling import SeededStream, sample_copula
-from oracles import empirical_copula
+from oracles import empirical_copula, local_linear_density
 
 
 def report(num, name, ok, detail=""):

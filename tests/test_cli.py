@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from llcopula import cli
 from llcopula.cli import RunConfig, build_parser, config_from_args, main, validate_config
 from llcopula.fitting import fit_families
 from llcopula.gridio import read_grid_csv, read_pairs_csv
@@ -52,6 +53,26 @@ class TestValidation:
         code = run_cli("bands", "--out", "/tmp/x.csv")
         assert code == 2
         assert "--in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bands", "--in", "s.csv", "--epsilon", "inf", "--out", "b.csv"],
+        ["bands", "--in", "s.csv", "--epsilon", "nan", "--out", "b.csv"],
+        ["estimate", "--in", "s.csv", "--hn", "inf", "--out", "e.csv"],
+        ["estimate", "--in", "s.csv", "--alpha", "inf", "--out", "e.csv"],
+        ["estimate", "--in", " s.csv", "--out", "e.csv"],
+        ["fit", "--in", "s.csv\n", "--out", "f.csv"],
+        ["sample", "--family", "clayton", "--theta", "2", "--n", "200", "--seed", "1", "--out", " x.csv "],
+    ], ids=lambda argv: " ".join(argv))
+    def test_refused_before_any_work(self, argv, tmp_path, monkeypatch, capsys):
+        # What the band, policy or writer would refuse after the work is
+        # refused by validation: no input read, no grid, no draws, no file.
+        calls = []
+        for name in ("read_pairs_csv", "evaluate_grid", "sample_copula"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: calls.append(name))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("error:config: ")
+        assert calls == [] and os.listdir(tmp_path) == []
 
     def test_validate_config_unit(self):
         cfg = RunConfig(command="plot", input_path=None, output_path=None,
@@ -205,7 +226,7 @@ class TestPipeline:
         for key, value in expected.items():
             assert grid.meta[key] == value
         assert float(grid.meta["policy_h_n"]) == pytest.approx(1 / np.log(300))
-        assert grid.meta["policy_shrink"] == "True"
+        assert "policy_shrink" not in grid.meta
         assert float(grid.meta["policy_h_min"]) <= float(grid.meta["policy_h_max"])
 
     def test_fit_selects_generator(self, tmp_path, capsys):

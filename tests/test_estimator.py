@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -32,7 +31,10 @@ def make_sample(model, n, seed, rank=True):
 
 
 def without_shrink(pol):
-    return dataclasses.replace(pol, shrink_enabled=False)
+    """The policy's clamped global bandwidth h at every coordinate: a policy
+    clamped to [h, h] gives clip(x, h, h) == h whatever the shrink factor."""
+    h = float(np.clip(pol.h_n, pol.h_min, pol.h_max))
+    return BandwidthPolicy(h_n=h, h_min=h, h_max=h)
 
 
 # The grid contraction sums each cell's factor products in another order than
@@ -75,7 +77,6 @@ class TestBandwidthPolicy:
         assert pol.h_min == pytest.approx(np.log(n) / n)
         assert pol.h_max == pytest.approx((np.log(np.log(n)) / n) ** 0.25)
         assert pol.alpha == 0.5
-        assert pol.shrink_enabled
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -481,7 +482,7 @@ class TestBiasDecay:
         seeds = [s.seed for s in SeededStream(20260810).substreams(reps)]
         biases = []
         for h in (0.3, 0.15):
-            pol = BandwidthPolicy(h_n=h, h_min=1e-6, h_max=0.499, shrink_enabled=False)
+            pol = BandwidthPolicy(h_n=h, h_min=h, h_max=h)
             vals = np.array(
                 [
                     ll_copula_estimate(make_sample(model, n, sd, rank=False), 0.5, 0.5, pol)

@@ -24,6 +24,7 @@ from llcopula.families import (
 )
 
 from reference_tables import (
+    CLAYTON_CDF_DENSITY_TABLE,
     CLAYTON_TABLE,
     DEBYE1_TABLE,
     FRANK_CDF_TABLE,
@@ -94,6 +95,14 @@ def gumbel_table_error(evaluate, column):
     return np.abs(got - ref) / ref / np.finfo(float).eps / scale
 
 
+def clayton_table_ulps(evaluate, column):
+    """Per-row error against CLAYTON_CDF_DENSITY_TABLE's ``column`` in ulps of
+    the reference, with the table's theta, u, v and reference as columns."""
+    theta, u, v, ref = np.array(CLAYTON_CDF_DENSITY_TABLE)[:, [0, 1, 2, column]].T
+    got = np.array([evaluate(CopulaModel("clayton", t), a, b) for t, a, b in zip(theta, u, v)])
+    return theta, u, v, ref, np.abs(got - ref) / ref / np.finfo(float).eps
+
+
 def gumbel_y_at_40_digits(theta, u, w):
     """-log v for Gumbel's C_2(v | u) = w, by bisection on log d at 40 digits.
 
@@ -144,6 +153,34 @@ class TestModelValidation:
         assert CopulaModel("Clayton", 2.0).family == "clayton"
 
 
+# The four family functions and the names of their two arguments.
+FAMILY_FUNCTIONS = [
+    (cdf, "u", "v"),
+    (density, "u", "v"),
+    (conditional_cdf, "v", "given_u"),
+    (inverse_conditional, "w", "given_u"),
+]
+
+
+@pytest.mark.parametrize("function, first, second", FAMILY_FUNCTIONS, ids=lambda x: getattr(x, "__name__", x))
+class TestArguments:
+    """The argument path the four family functions share, for each family."""
+
+    def test_scalar_in_float_out_and_shape_kept(self, function, first, second):
+        for model in MODELS:
+            assert type(function(model, 0.3, 0.4)) is float
+            assert function(model, np.full((2, 3), 0.3), 0.4).shape == (2, 3)
+
+    def test_a_bad_argument_is_named_first_one_first(self, function, first, second):
+        for model in MODELS:
+            with pytest.raises(ConfigError, match=f"^{first} must lie"):
+                function(model, np.nan, 0.4)
+            with pytest.raises(ConfigError, match=f"^{second} must lie"):
+                function(model, 0.3, np.nan)
+            with pytest.raises(ConfigError, match=f"^{first} must lie"):
+                function(model, 1.5, np.nan)
+
+
 class TestCdf:
     @pytest.mark.parametrize("theta,rows", CLAYTON_TABLE.items())
     def test_clayton_table(self, theta, rows):
@@ -166,6 +203,13 @@ class TestCdf:
         got = np.array([cdf(CopulaModel("frank", t), a, b) for t, a, b in zip(theta, u, v)])
         bound = np.where(np.abs(theta) <= 30.0, 4e-15, 1.5e-16 * np.abs(theta))
         assert (np.abs(got - ref) / ref <= bound).all()
+
+    def test_clayton_matches_mpmath_table(self):
+        # C = exp(-L/theta) carries L's relative rounding times |log C|, so the
+        # bound is per unit of 1 + |log C|.  u^-theta + v^-theta - 1 summed as
+        # written was off by 4.2e7 ulps per unit (2e-8 relative) at theta = 1e-8.
+        _, _, _, ref, ulps = clayton_table_ulps(cdf, 3)
+        assert (ulps <= 2.0 * (1.0 + np.abs(np.log(ref)))).all()
 
     def test_frank_never_negative(self):
         edges = np.array([0.0, 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6, 1 - 1e-12, 1.0])
@@ -213,17 +257,13 @@ class TestCdf:
     def test_clayton_where_a_power_overflows(self, theta):
         u, v = clayton_points(theta)
         got = cdf(CopulaModel("clayton", theta), u, v)
-        # The plain form, kept bit for bit wherever u^-theta + v^-theta is finite.
         with np.errstate(over="ignore"):
-            a = np.exp(-theta * np.log(u)) + np.exp(-theta * np.log(v)) - 1.0
-        finite = np.isfinite(a)
-        assert np.array_equal(got[finite], np.exp(-np.log(a[finite]) / theta))
-        assert theta == 2.0 or not finite.all()
-        # Elsewhere C = (u^-theta + v^-theta - 1)^(-1/theta), at 40 digits.
+            assert theta == 2.0 or np.isinf(np.exp(-theta * np.log(np.minimum(u, v)))).any()
+        # C = (u^-theta + v^-theta - 1)^(-1/theta), at 40 digits, overflowing powers or not.
         with decimal.localcontext() as ctx:
             ctx.prec = 40
             t = decimal.Decimal(theta)
-            for ui, vi, ci in zip(u[~finite], v[~finite], got[~finite]):
+            for ui, vi, ci in zip(u, v, got):
                 lu, lv = decimal.Decimal(ui).ln(), decimal.Decimal(vi).ln()
                 want = (-((-t * lu).exp() + (-t * lv).exp() - 1).ln() / t).exp()
                 assert ci == pytest.approx(float(want), rel=1e-14)
@@ -308,6 +348,14 @@ class TestDensity:
         theta, u, v, ref = np.array(FRANK_DENSITY_TABLE).T
         got = np.array([density(CopulaModel("frank", t), a, b) for t, a, b in zip(theta, u, v)])
         assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+    def test_clayton_matches_mpmath_table(self):
+        # Per unit of S = 1 + (theta + 1)(|log u| + |log v|), the size of the
+        # terms that sum to log c: the rounding of theta log u alone is S ulps.
+        # Near theta = 0 they cancel to about theta S; the old log-sum, which
+        # cancelled too, was off by 6e7 ulps per unit of S at theta = 1e-8.
+        theta, u, v, _, ulps = clayton_table_ulps(density, 4)
+        assert (ulps <= 4.0 * (1.0 + (theta + 1.0) * (np.abs(np.log(u)) + np.abs(np.log(v))))).all()
 
     def test_gumbel_near_the_diagonal_matches_mpmath_table(self):
         # theta from 1 + 1e-9 to 1e6; the bound does not grow with theta (a form

@@ -7,15 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from llcopula.errors import ConfigError, DegenerateKernelError
-from llcopula.kernels import (
-    LocalKernel,
-    SortedColumn,
-    epanechnikov,
-    epanechnikov_cdf,
-    kernel_moments,
-    local_linear_cdf,
-    local_linear_density,
-)
+from llcopula.kernels import LocalKernel, SortedColumn, kernel_moments, local_linear_cdf
+from oracles import epanechnikov, epanechnikov_cdf, local_linear_density
 
 
 def quad_moment(u, h, j):

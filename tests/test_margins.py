@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from llcopula import kernels, margins
 from llcopula.errors import ConfigError
-from llcopula.kernels import epanechnikov_cdf
 from llcopula.margins import (
     PseudoSample,
     RawSample,
@@ -18,6 +17,7 @@ from llcopula.margins import (
     to_pseudo_ranks,
     to_pseudo_smoothed,
 )
+from oracles import epanechnikov_cdf
 
 
 def test_raw_sample_validation():

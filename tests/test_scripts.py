@@ -64,7 +64,8 @@ def test_byte_report_runs_and_diffs(tmp_path):
     assert run.returncode == 0, run.stderr
     names = [line.split()[1] for line in run.stdout.splitlines()]
     assert len(names) == 19 and "plot.svg" in names and "reproduce_frank.csv" in names
-    # A copy with one grid cell nudged: the diff names that file and the move.
+    # A copy with one grid cell nudged and one metadata line gone: the diff
+    # names that file, the move over the data rows and the lost key.
     copy = tmp_path / "b"
     copy.mkdir()
     for name in names:
@@ -73,10 +74,12 @@ def test_byte_report_runs_and_diffs(tmp_path):
     text = path.read_text()
     cell = re.search(r"\n([^,\n]+),([^,\n]+),(0\.[0-9]+)", text)
     nudged = f"{float(cell.group(3)) + 1e-9!r}"
-    path.write_text(text[: cell.start(3)] + nudged + text[cell.end(3) :])
+    text = text[: cell.start(3)] + nudged + text[cell.end(3) :]
+    path.write_text(text.replace("# policy_alpha = 0.5\n", ""))
     diff = subprocess.run([sys.executable, script, "diff", str(tmp_path / "a"), str(copy)],
                           capture_output=True, text=True, env=ENV, timeout=300)
     assert diff.returncode == 0, diff.stderr
     lines = diff.stdout.splitlines()
-    assert lines[0].startswith("estimate_31_rank.csv: 1 of ") and lines[0].endswith("largest by 1e-09")
+    assert lines[0].startswith("estimate_31_rank.csv: 1 of ")
+    assert lines[0].endswith("largest by 1e-09; metadata removed: policy_alpha")
     assert lines[-1] == "18 of 19 files byte-identical"
