@@ -2,8 +2,14 @@
 """Replicate coverage of the full grid for outer and inner band widths.
 
 The outer width (1 + eps) A / R_n should cover the whole grid in essentially
-every replicate; the inner width (1 - eps) A / R_n with eps near one should
-essentially never cover it.  Prints both rates for a range of eps values.
+every replicate.  The inner width (1 - eps) A / R_n fails only where it falls
+below the scaled sup error R_n sup |C_hat - C|, so at A = 3 only for eps above
+about 0.9: at n = 1000 (100 replicates, 21 nodes, Clayton 2, Frank 5 and
+Gumbel 1.69) it covered the grid in 97-99 % of replicates at eps = 0.9, in
+50-62 % at 0.94 and in at most 1 % from 0.97.  Prints both rates for a range
+of eps values, e.g.
+
+    python3 scripts/coverage_study.py --n 1000 --replicates 100 --eps 0.9 0.94 0.97 0.99
 """
 
 import argparse

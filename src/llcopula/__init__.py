@@ -19,7 +19,6 @@ from .errors import (
 )
 from .estimator import (
     BandwidthPolicy,
-    GridEvaluation,
     evaluate_grid,
     ll_copula_estimate,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "FAMILIES",
     "FitReport",
     "FitRow",
-    "GridEvaluation",
     "InputError",
     "KernelMoments",
     "LLCopulaError",

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 
-from .bands import BandGrid, BandParameters, band_halfwidth, confidence_bands
+from .bands import BandParameters, band_halfwidth, confidence_bands
 from .errors import ConfigError, LLCopulaError
 from .estimator import BandwidthPolicy, evaluate_grid, ll_copula_estimate
 from .families import CLAYTON, FRANK, INDEPENDENCE, CopulaModel, cdf
@@ -152,8 +152,8 @@ def _policy_for(config: RunConfig) -> BandwidthPolicy:
 
 
 def _estimate_from_file(config: RunConfig):
-    """Grid estimate of the --in pairs, plus the config echo (n is the file's
-    row count) and the derived bandwidth policy actually used."""
+    """Grid estimate of the --in pairs, with the config echo (n is the file's
+    row count) and the derived bandwidth policy actually used as its meta."""
     pseudo = _pseudo_from_file(config)
     config = replace(config, n=pseudo.n)
     policy = _policy_for(config)
@@ -164,7 +164,7 @@ def _estimate_from_file(config: RunConfig):
         "policy_h_max": policy.h_max,
         "policy_alpha": policy.alpha,
     }
-    return evaluate_grid(pseudo, config.grid_size, policy), meta
+    return replace(evaluate_grid(pseudo, config.grid_size, policy), meta=meta)
 
 
 def cmd_sample(config: RunConfig) -> int:
@@ -176,18 +176,15 @@ def cmd_sample(config: RunConfig) -> int:
 
 
 def cmd_estimate(config: RunConfig) -> int:
-    grid, meta = _estimate_from_file(config)
-    v = grid.values  # zero-width band: estimate = lower = upper
-    degenerate = BandGrid(grid.grid_u, grid.grid_v, v, v, v, halfwidth=0.0, meta=meta)
-    write_grid_csv(degenerate, config.output_path)
+    write_grid_csv(_estimate_from_file(config), config.output_path)
     print(f"wrote {config.grid_size}x{config.grid_size} estimate grid to {config.output_path}")
     return 0
 
 
 def cmd_bands(config: RunConfig) -> int:
-    grid, meta = _estimate_from_file(config)
+    grid = _estimate_from_file(config)
     params = BandParameters(n=grid.n, A_c=config.A_c, epsilon=config.epsilon)
-    result = replace(confidence_bands(grid, params, clip_to_frechet=config.clip), meta=meta)
+    result = confidence_bands(grid, params, clip_to_frechet=config.clip)
     write_grid_csv(result, config.output_path)
     print(
         f"wrote bands (half-width {result.halfwidth:.6f}) on a "

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._arrays import unwrap
+from .bands import BandGrid
 from .errors import ConfigError
 from .kernels import LocalKernel, SortedColumn, local_linear_cdf
 from .margins import PseudoSample
@@ -123,28 +124,6 @@ def ll_copula_estimate(sample: PseudoSample, u, v, policy: BandwidthPolicy):
     return unwrap(out, scalar)
 
 
-@dataclass(frozen=True)
-class GridEvaluation:
-    """Estimates on a lattice; values[i, j] is the estimate at (grid_u[i], grid_v[j])."""
-
-    grid_u: np.ndarray
-    grid_v: np.ndarray
-    values: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        gu = np.asarray(self.grid_u, dtype=float)
-        gv = np.asarray(self.grid_v, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "grid_u", gu)
-        object.__setattr__(self, "grid_v", gv)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != (len(gu), len(gv)):
-            raise ConfigError("values matrix shape must match the grids")
-        if not np.isfinite(vals).all():
-            raise ConfigError("grid evaluation contains non-finite values")
-
-
 # Width of the column blocks that the grid contraction streams over.
 BLOCK = 2048
 
@@ -207,8 +186,10 @@ def _grid_sums(grid: np.ndarray, su: SortedColumn, sv: SortedColumn, policy: Ban
     return sums
 
 
-def evaluate_grid(sample: PseudoSample, grid_size: int, policy: BandwidthPolicy) -> GridEvaluation:
-    """Estimate on a uniform lattice including both endpoints.
+def evaluate_grid(sample: PseudoSample, grid_size: int, policy: BandwidthPolicy) -> BandGrid:
+    """Estimate on a uniform lattice including both endpoints, as the
+    zero-width band: ``lower`` and ``upper`` are the ``values`` array itself,
+    the half-width is 0 and ``n`` is the sample size.
 
     The product structure makes the lattice a contraction of per-axis
     factors, streamed over the sample in blocks (``_grid_sums``), so memory
@@ -223,4 +204,4 @@ def evaluate_grid(sample: PseudoSample, grid_size: int, policy: BandwidthPolicy)
     grid = np.linspace(0.0, 1.0, grid_size)
     sums = _grid_sums(grid, *sample.sorted_columns, policy)
     values = np.clip(sums / sample.n, 0.0, 1.0)
-    return GridEvaluation(grid_u=grid, grid_v=grid, values=values, n=sample.n)
+    return BandGrid(grid, grid, values, values, values, halfwidth=0.0, n=sample.n)

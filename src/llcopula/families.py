@@ -170,16 +170,18 @@ def _gumbel_terms(theta, u, v):
 
 
 def cdf(model: CopulaModel, u, v):
-    """Copula CDF C(u, v).  The family's formula runs on interior points only;
+    """Copula CDF C(u, v).  The family's formula runs on interior points only,
+    clipped into the Frechet bounds [max(u + v - 1, 0), min(u, v)] as computed
+    (where rounding puts the lower bound above the upper one, the upper wins);
     the uniform-margin identities C(u, 1) = u, C(1, v) = v and C = 0 on the
     lower edges are exact branches."""
     u, v, scalar = _unit_args(u, v, ("u", "v"), (False, False))
-    if model.family == INDEPENDENCE:
-        return unwrap(u * v, scalar)
     out = np.zeros_like(u)
     inner = (u > 0.0) & (v > 0.0) & (u < 1.0) & (v < 1.0)
-    interior_cdf = {CLAYTON: _clayton_cdf, FRANK: _frank_cdf, GUMBEL: _gumbel_cdf}[model.family]
-    out[inner] = interior_cdf(model.theta, u[inner], v[inner])
+    interior_cdf = {INDEPENDENCE: lambda _, a, b: a * b, CLAYTON: _clayton_cdf, FRANK: _frank_cdf,
+                    GUMBEL: _gumbel_cdf}[model.family]
+    ui, vi = u[inner], v[inner]
+    out[inner] = np.clip(interior_cdf(model.theta, ui, vi), np.maximum(ui + vi - 1.0, 0.0), np.minimum(ui, vi))
     out[u >= 1.0] = v[u >= 1.0]
     out[v >= 1.0] = u[v >= 1.0]
     out[(u <= 0.0) | (v <= 0.0)] = 0.0

@@ -172,18 +172,22 @@ def write_pairs_csv(path: str, x, y, meta: dict | None = None) -> None:
 
 
 def write_grid_csv(grid: BandGrid, path: str) -> None:
-    """Emit a band grid in u-major row order plus the metadata block."""
+    """Emit a band grid in u-major row order plus the metadata block; the
+    ``values`` surface is the ``estimate`` column."""
     uu, vv = np.meshgrid(grid.grid_u, grid.grid_v, indexing="ij")
-    rows = np.column_stack([a.ravel() for a in (uu, vv, grid.estimate, grid.lower, grid.upper)])
+    rows = np.column_stack([a.ravel() for a in (uu, vv, grid.values, grid.lower, grid.upper)])
     meta = {"halfwidth": grid.halfwidth}
     meta.update({k: v for k, v in (grid.meta or {}).items() if k != "halfwidth"})
     write_csv(path, GRID_COLUMNS, map(np.ndarray.tolist, rows), meta)
 
 
 def read_grid_csv(path: str) -> BandGrid:
-    """Parse a band grid file back into an identical BandGrid.
+    """Parse a band grid file back into an identical BandGrid, with
+    ``n = None``: the file records the estimate, not the sample.
 
-    A non-numeric or non-finite cell or halfwidth raises ``InputError`` at its ``path:line``.
+    A non-numeric or non-finite cell or halfwidth raises ``InputError`` at its
+    ``path:line``, and a grid that breaks the record's invariants (a negative
+    halfwidth, a lower bound above the upper one) raises it at ``path``.
     """
     first, header, data, notes, _ = _read_csv(path, len(GRID_COLUMNS))
     if first and header != GRID_COLUMNS:
@@ -212,4 +216,7 @@ def read_grid_csv(path: str) -> BandGrid:
     if not (np.array_equal(data[:, 0], uu.ravel()) and np.array_equal(data[:, 1], vv.ravel())):
         raise InputError(f"{path}: rows are not in u-major lattice order")
     surfaces = data[:, 2:].T.reshape(3, len(grid_u), len(grid_v))
-    return BandGrid(grid_u, grid_v, *surfaces, halfwidth=float(meta.pop("halfwidth")), meta=meta or None)
+    try:
+        return BandGrid(grid_u, grid_v, *surfaces, halfwidth=float(meta.pop("halfwidth")), meta=meta or None)
+    except ConfigError as exc:
+        raise InputError(f"{path}: {exc}") from None

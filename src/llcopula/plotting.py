@@ -50,10 +50,10 @@ def _heatmap_polygons(grid: BandGrid) -> list[str]:
                 (px[i], py[j + 1]),
             )
             value = 0.25 * (
-                grid.estimate[i, j]
-                + grid.estimate[i + 1, j]
-                + grid.estimate[i, j + 1]
-                + grid.estimate[i + 1, j + 1]
+                grid.values[i, j]
+                + grid.values[i + 1, j]
+                + grid.values[i, j + 1]
+                + grid.values[i + 1, j + 1]
             )
             pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in corners)
             cells.append(f'<polygon points="{pts}" fill="{_heat_color(value)}" stroke="none"/>')
@@ -86,7 +86,7 @@ def render_surface_svg(grid: BandGrid, path: str, overlays=()) -> None:
     k = min(len(grid.grid_u), len(grid.grid_v))
     ts = grid.grid_u[:k]
     idx = np.arange(k)
-    diag_est = grid.estimate[idx, idx]
+    diag_est = grid.values[idx, idx]
     diag_lo = grid.lower[idx, idx]
     diag_hi = grid.upper[idx, idx]
     vmin = float(min(diag_lo.min(), 0.0)) - 0.05

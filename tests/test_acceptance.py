@@ -108,8 +108,8 @@ def test_gate_04_band_halfwidth():
     sample = rank_sample(CopulaModel("clayton", 2.0), 116, 1)
     grid = evaluate_grid(sample, 21, BandwidthPolicy.from_sample_size(116))
     bands = confidence_bands(grid, BandParameters(n=116))
-    constant = np.array_equal(bands.upper, bands.estimate + hw) and np.array_equal(
-        bands.lower, bands.estimate - hw
+    constant = np.array_equal(bands.upper, bands.values + hw) and np.array_equal(
+        bands.lower, bands.values - hw
     )
     ok = abs(hw - 0.4919) <= 1e-4 and constant
     report(4, "band half-width formula", ok, f"halfwidth = {hw:.6f}, scalar shift everywhere")

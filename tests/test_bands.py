@@ -80,8 +80,8 @@ class TestConfidenceBands:
     def test_constant_width(self):
         # one scalar half-width is applied at every node, bitwise
         bands = band_setup(CopulaModel("clayton", 2.0), 500, 3)
-        assert np.array_equal(bands.upper, bands.estimate + bands.halfwidth)
-        assert np.array_equal(bands.lower, bands.estimate - bands.halfwidth)
+        assert np.array_equal(bands.upper, bands.values + bands.halfwidth)
+        assert np.array_equal(bands.lower, bands.values - bands.halfwidth)
         assert bands.halfwidth == band_halfwidth(BandParameters(n=500))
         widths = bands.upper - bands.lower
         # the subtraction itself reintroduces at most a unit of roundoff
@@ -89,8 +89,8 @@ class TestConfidenceBands:
 
     def test_bracket_property_without_clip(self):
         bands = band_setup(CopulaModel("frank", 5.0), 500, 4)
-        assert (bands.lower <= bands.estimate).all()
-        assert (bands.estimate <= bands.upper).all()
+        assert (bands.lower <= bands.values).all()
+        assert (bands.values <= bands.upper).all()
 
     def test_size_mismatch_rejected(self):
         draws = sample_copula(CopulaModel("independence"), 200, SeededStream(1))
@@ -117,7 +117,7 @@ class TestConfidenceBands:
             BandGrid(
                 grid_u=np.array([0.0, 1.0]),
                 grid_v=np.array([0.0, 1.0]),
-                estimate=np.zeros((2, 2)),
+                values=np.zeros((2, 2)),
                 lower=np.full((2, 2), 0.5),
                 upper=np.full((2, 2), 0.2),
                 halfwidth=0.1,

@@ -186,6 +186,16 @@ class TestPipeline:
         assert code == 3
         assert "error:input:" in err and f"{pairs}:" in err and "non-finite" in err
 
+    @pytest.mark.parametrize("row, halfwidth", [("0,0,0.1,0.3,0.2", "0.1"), ("0,0,0.1,0.0,0.2", "-1")])
+    def test_malformed_grid_file_exits_as_input_error(self, tmp_path, capsys, row, halfwidth):
+        grid = tmp_path / "g.csv"
+        grid.write_text(f"u,v,estimate,lower,upper\n{row}\n# halfwidth = {halfwidth}\n")
+        code = run_cli("plot", "--in", str(grid), "--out", str(tmp_path / "p.svg"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"error:input: {grid}: ")
+        assert os.listdir(tmp_path) == ["g.csv"]
+
     def test_line_break_in_a_path_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
         # The path is echoed into the metadata block, where a line break would
         # inject a data row ("0.5,0.7") into the file.
@@ -204,9 +214,9 @@ class TestPipeline:
         assert run_cli("estimate", "--in", s, "--grid", "7", "--out", e) == 0
         grid = read_grid_csv(e)
         assert grid.halfwidth == 0.0
-        assert np.array_equal(grid.lower, grid.estimate)
-        assert np.array_equal(grid.upper, grid.estimate)
-        assert grid.estimate.shape == (7, 7)
+        assert np.array_equal(grid.lower, grid.values)
+        assert np.array_equal(grid.upper, grid.values)
+        assert grid.values.shape == (7, 7)
 
     def test_bands_constant_width_and_echo(self, tmp_path):
         s = str(tmp_path / "s.csv")
@@ -215,7 +225,7 @@ class TestPipeline:
                 "--seed", "11", "--out", s)
         assert run_cli("bands", "--in", s, "--grid", "9", "--Ac", "2.5", "--out", b) == 0
         grid = read_grid_csv(b)
-        assert np.array_equal(grid.upper, grid.estimate + grid.halfwidth)
+        assert np.array_equal(grid.upper, grid.values + grid.halfwidth)
         # metadata reconstructs the effective run configuration (n is the
         # actual sample size) plus the derived bandwidth policy
         expected = RunConfig(

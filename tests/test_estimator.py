@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llcopula.bands import BandGrid
 from llcopula.errors import ConfigError
 from llcopula.estimator import (
     BandwidthPolicy,
-    GridEvaluation,
     _inside,
     _window,
     evaluate_grid,
@@ -389,6 +389,12 @@ class TestGridEvaluation:
         assert ge.values.shape == (2, 2)
         assert np.array_equal(ge.grid_u, [0.0, 1.0])
 
+    def test_estimate_is_the_zero_width_band(self):
+        ps = make_sample(CopulaModel("frank", 5.0), 300, 2)
+        ge = evaluate_grid(ps, 5, BandwidthPolicy.from_sample_size(300))
+        assert ge.lower is ge.values and ge.upper is ge.values
+        assert ge.halfwidth == 0.0 and ge.n == 300 and ge.meta is None
+
     def test_grid_matches_pointwise(self):
         ps = make_sample(CopulaModel("frank", 5.0), 400, 5)
         pol = BandwidthPolicy.from_sample_size(400)
@@ -431,10 +437,13 @@ class TestGridEvaluation:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            GridEvaluation(
+            BandGrid(
                 grid_u=np.linspace(0, 1, 3),
                 grid_v=np.linspace(0, 1, 3),
                 values=np.zeros((3, 4)),
+                lower=np.zeros((3, 4)),
+                upper=np.zeros((3, 4)),
+                halfwidth=0.0,
                 n=10,
             )
 

@@ -239,6 +239,25 @@ class TestCdf:
         assert (c >= np.maximum(u + v - 1.0, 0.0) - 1e-12).all()
         assert (c <= np.minimum(u, v) + 1e-12).all()
 
+    @pytest.mark.parametrize(
+        "model",
+        MODELS + [CopulaModel("clayton", t) for t in (1e-8, 1e5)]
+        + [CopulaModel("frank", t) for t in (-350.0, -30.0, -1e-8, 1e-8, 1.0, 200.0, 350.0)]
+        + [CopulaModel("gumbel", t) for t in (1.0 + 1e-9, 1e6)],
+        ids=lambda m: m.label(),
+    )
+    def test_frechet_bounds_sweep(self, model):
+        # No tolerance: 12 edge values plus 60 uniform ones per axis.  The
+        # bounds are taken as computed; where rounding puts u + v - 1 above
+        # min(u, v) (at 32 of these points), min(u, v) is the lower bound too.
+        edges = [0.0, 5e-324, 1e-300, 1e-12, 1e-6, 1e-3, 0.5, 1 - 1e-3, 1 - 1e-6, 1 - 1e-12, np.nextafter(1.0, 0.0), 1.0]
+        axis = np.concatenate([edges, np.random.default_rng(0).random(60)])
+        u, v = (a.ravel() for a in np.meshgrid(axis, axis))
+        c = cdf(model, u, v)
+        hi = np.minimum(u, v)
+        assert (c <= hi).all()
+        assert (c >= np.minimum(np.maximum(u + v - 1.0, 0.0), hi)).all()
+
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label())
     def test_two_increasing(self, model):
         rng = np.random.default_rng(99)

@@ -1,6 +1,7 @@
 import ast
 import csv
 import os
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -29,7 +30,7 @@ def make_band_grid(k=5, seed=0, meta=None):
     return BandGrid(
         grid_u=grid,
         grid_v=grid,
-        estimate=est,
+        values=est,
         lower=est - hw,
         upper=est + hw,
         halfwidth=hw,
@@ -187,11 +188,12 @@ class TestGridCsv:
         write_grid_csv(grid, path)
         back = read_grid_csv(path)
         assert np.array_equal(back.grid_u, grid.grid_u)
-        assert np.array_equal(back.estimate, grid.estimate)
+        assert np.array_equal(back.values, grid.values)
         assert np.array_equal(back.lower, grid.lower)
         assert np.array_equal(back.upper, grid.upper)
         assert back.halfwidth == grid.halfwidth
         assert back.meta == {"seed": "7", "A_c": "3.0"}
+        assert back.n is None
 
     def test_two_by_two_row_count(self, tmp_path):
         path = str(tmp_path / "grid.csv")
@@ -277,6 +279,20 @@ class TestGridCsv:
         path = tmp_path / "grid.csv"
         path.write_text(f"u,v,estimate,lower,upper\n0,0,0.1,0.0,0.2\n# seed = 7\n# halfwidth = {value}\n")
         with pytest.raises(InputError, match=":4: halfwidth must be a finite number"):
+            read_grid_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "row, halfwidth, fault",
+        [
+            ("0,0,0.1,0.3,0.2", "0.1", "lower band surface must not exceed the upper one"),
+            ("0,0,0.1,0.0,0.2", "-1", "half-width must be finite and nonnegative"),
+        ],
+        ids=["lower above upper", "negative halfwidth"],
+    )
+    def test_record_fault_is_an_input_error(self, tmp_path, row, halfwidth, fault):
+        path = tmp_path / "grid.csv"
+        path.write_text(f"u,v,estimate,lower,upper\n{row}\n# halfwidth = {halfwidth}\n")
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: {fault}"):
             read_grid_csv(str(path))
 
     def test_malformed_metadata(self, tmp_path):

@@ -3,10 +3,13 @@
 Each study script runs in its own interpreter at tiny sizes (about a second
 each); the test checks only that it exits 0 and prints its table header.  The
 coverage study's loop also runs in full, as the paper's simulation check.
-The byte report runs its command set once and diffs a nudged copy.
+The byte report runs its command set once and diffs a nudged copy, and the
+README's library quickstart runs as written.
 """
 
+import contextlib
 import importlib.util
+import io
 import os
 import re
 import subprocess
@@ -83,3 +86,18 @@ def test_byte_report_runs_and_diffs(tmp_path):
     assert lines[0].startswith("estimate_31_rank.csv: 1 of ")
     assert lines[0].endswith("largest by 1e-09; metadata removed: policy_alpha")
     assert lines[-1] == "18 of 19 files byte-identical"
+
+
+def test_readme_library_quickstart_runs():
+    # The README's quickstart block, run as written, so a renamed field or
+    # function cannot leave it stale.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert lines[1].startswith("ContainmentReport(fraction=")
+    lower, value, upper = map(float, lines[0].split())
+    assert lower < value < upper
