@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 
 from .bands import BandParameters, band_halfwidth, confidence_bands
 from .errors import ConfigError, LLCopulaError
 from .estimator import BandwidthPolicy, evaluate_grid, ll_copula_estimate
-from .families import CLAYTON, FRANK, INDEPENDENCE, CopulaModel, cdf
+from .families import CLAYTON, FRANK, GUMBEL, INDEPENDENCE, CopulaModel, cdf
 from .fitting import fit_families
 from .gridio import meta_line, read_grid_csv, read_pairs_csv, write_csv, write_grid_csv, write_pairs_csv
 from .margins import RawSample, to_pseudo
@@ -101,12 +101,14 @@ def validate_config(config: RunConfig) -> list[str]:
             problems.append(str(exc))
         if config.n < 1:
             problems.append(f"sample size must be >= 1, got {config.n}")
-    if config.command == "reproduce" and config.family in REPRODUCE_THETAS and config.thetas is not None:
-        for theta in config.thetas:
-            try:
+    for theta in config.thetas or ():
+        try:
+            if str(config.family).lower() in (CLAYTON, FRANK, GUMBEL):
                 CopulaModel(config.family, theta)
-            except ConfigError as exc:
-                problems.append(str(exc))
+            elif not math.isfinite(theta):
+                raise ConfigError(f"parameter list values must be finite, got {theta}")
+        except ConfigError as exc:
+            problems.append(str(exc))
     if not 0 <= config.seed < 2**64:
         problems.append(f"seed must fit in 64 unsigned bits, got {config.seed}")
     if config.grid_size < 2:
@@ -157,13 +159,7 @@ def _estimate_from_file(config: RunConfig):
     pseudo = _pseudo_from_file(config)
     config = replace(config, n=pseudo.n)
     policy = _policy_for(config)
-    meta = {
-        **config.as_meta(),
-        "policy_h_n": policy.h_n,
-        "policy_h_min": policy.h_min,
-        "policy_h_max": policy.h_max,
-        "policy_alpha": policy.alpha,
-    }
+    meta = {**config.as_meta(), **{f"policy_{k}": v for k, v in asdict(policy).items()}}
     return replace(evaluate_grid(pseudo, config.grid_size, policy), meta=meta)
 
 

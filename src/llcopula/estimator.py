@@ -7,16 +7,15 @@ h_max).  This per-axis rule is a deliberate deviation from the paper's joint
 bandwidth clamp(h_n * max{min(u, 1-u), min(v, 1-v)}^alpha, h_min, h_max): it
 keeps the factor of a grid row independent of the column, so the grid is a
 contraction of per-axis factors over the sample.  A factor is exactly 1 or 0
-outside its kernel window, so everything works on the sample's columns,
-sorted once (``PseudoSample.sorted_columns``), and the local-linear CDF is
-evaluated only at the window's points, not at all n.  A point estimate is a
-window sum: an integer count of the points before both windows, plus the
-u-window's values times the v-factor at those points, plus the v-window's
-values at the points before the u-window, over n.  The grid streams over the
-data sorted by u in blocks (``_grid_sums``), in O(n + the windows' total
-width + grid size * BLOCK) memory, and builds no grid-by-n factor matrix.
-Every factor value stays bitwise equal to evaluating the kernel at all n
-points; only the order of the sums differs from a plain mean.
+outside its kernel window on the sample's sorted columns, so ``_factor_rows``
+evaluates the local-linear CDF only at the windows' points, for many kernels
+at once (one kernel per distinct coordinate).  A point estimate is a window
+sum: an integer count of the points before both windows, plus the u-window's
+values times the v-factor at those points, plus the v-window's values at the
+points before the u-window, over n.  The grid streams over the data sorted by
+u in blocks (``_grid_sums``), in O(n + the windows' total width + grid size *
+BLOCK) memory.  Every factor value stays bitwise equal to evaluating the
+kernel at all n points; only the order of the sums differs from a plain mean.
 """
 
 from __future__ import annotations
@@ -76,52 +75,75 @@ class BandwidthPolicy:
         if not 0.0 <= c <= 1.0:
             raise ConfigError(f"bandwidth coordinate must lie in [0, 1], got {coord}")
         factor = np.minimum(c**self.alpha, (1.0 - c) ** self.alpha)
-        return float(np.clip(self.h_n * factor, self.h_min, self.h_max))
+        return float(min(max(self.h_n * factor, self.h_min), self.h_max))
 
 
-def _window(coord: float, data: SortedColumn, policy: BandwidthPolicy):
-    """Kernel of the integrated-kernel factor K((coord - X_i)/h) at
-    h = policy.bandwidth(coord), and the window [a, b) of the sorted data
-    outside which the factor is 1 (before) or 0 (after)."""
-    kern = LocalKernel.at(coord, policy.bandwidth(coord))
-    a, b = data.window(kern.u, kern.h, kern.moments.lo, kern.moments.hi)
-    return kern, int(a), int(b)
+# Entries per batched local_linear_cdf call and per axis in a chunk of points (2^11-2^15 tried).
+BATCH = 2**13
 
 
-def _inside(kern: LocalKernel, a: int, b: int, data: SortedColumn) -> np.ndarray:
-    """The factor's values on its window, data.values[a:b]."""
-    return local_linear_cdf(kern, (kern.u - data.values[a:b]) / kern.h)
+def _factor_rows(kerns: list, col: SortedColumn):
+    """Each kernel's window [a, b) on the sorted column, outside which its
+    factor K((u - X)/h) is 1 (before) or 0 (after), and the factor's values
+    on all windows, concatenated: kernel i's b[i] - a[i] from values[start[i]].
+    A run of kernels of one support [lo, hi] has bitwise-equal moments, so it
+    shares one ``local_linear_cdf`` call on up to BATCH entries; a window alone
+    in its call is evaluated on its slice.  (u - X)/h is the same IEEE
+    operation per entry either way, so no value differs from the lone kernel's.
+    """
+    u, h, lo, hi = np.array([(k.u, k.h, k.moments.lo, k.moments.hi) for k in kerns]).T
+    a, b = col.window(u, h, lo, hi)
+    bounds = np.concatenate(([0], np.cumsum(b - a)))  # kernel i's values at bounds[i]:bounds[i + 1]
+    values = np.empty(bounds[-1])
+    i = 0
+    while i < len(kerns):
+        j = i + 1
+        while j < len(kerns) and (lo[j], hi[j]) == (lo[i], hi[i]) and bounds[j + 1] - bounds[i] <= BATCH:
+            j += 1
+        if j == i + 1:
+            t = (u[i] - col.values[a[i] : b[i]]) / h[i]
+        else:
+            w = b[i:j] - a[i:j]
+            x = col.values[np.repeat(a[i:j] - bounds[i:j], w) + np.arange(bounds[i], bounds[j])]
+            t = (np.repeat(u[i:j], w) - x) / np.repeat(h[i:j], w)
+        values[bounds[i] : bounds[j]] = local_linear_cdf(kerns[i], t)
+        i = j
+    return (a, b, bounds[:-1]), values
 
 
 def ll_copula_estimate(sample: PseudoSample, u, v, policy: BandwidthPolicy):
     """Smoothed copula estimate at paired coordinates; clipped into [0, 1].
 
-    Each estimate is a window sum over the sorted columns, in O(n) time for
-    the count and O(window) for the rest, with numpy reductions only.
+    The points go in chunks of max(1, BATCH // n), whose windows hold at most
+    max(BATCH, n) entries per axis.  Each estimate is a window sum over the
+    sorted columns, in O(n) time for the count and O(window) for the rest.
     Clipping matters only within float dust of the boundary, where negative
     local-linear weights can push the raw sum marginally outside.
     """
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    u, v = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (u, v))
     if u.shape != v.shape:
         raise ConfigError("u and v must be paired arrays of equal shape")
-    if (u < 0).any() or (u > 1).any() or (v < 0).any() or (v > 1).any():
+    coords, which = np.unique(np.concatenate((u.ravel(), v.ravel())), return_inverse=True)
+    if not ((coords >= 0) & (coords <= 1)).all():  # NaN fails both compares
         raise ConfigError("evaluation points must lie in the unit square")
+    kerns = [LocalKernel.at(c, policy.bandwidth(c)) for c in coords]
+    kerns = [kerns[k] for k in which]  # the points' u-kernels, then their v-kernels
     su, sv = sample.sorted_columns
     v_rank = sv.rank[su.order]  # v-rank of the point at each u-sorted position
     flat = np.empty(u.size)
-    for i, (uu, vv) in enumerate(zip(u.ravel(), v.ravel())):
-        ku, ua, ub = _window(uu, su, policy)
-        kv, va, vb = _window(vv, sv, policy)
-        fu, fv = _inside(ku, ua, ub, su), _inside(kv, va, vb, sv)
-        # The v-factor at the u-window's points: 1 before va, fv on [va, vb), 0 from vb.
-        at = np.clip(v_rank[ua:ub].astype(np.intp) - (va - 1), 0, vb - va + 1)
-        on_u = np.sum(fu * np.concatenate(([1.0], fv, [0.0]))[at])
-        on_v = np.sum(np.where(su.rank[sv.order[va:vb]] < ua, fv, 0.0))
-        flat[i] = (np.count_nonzero(v_rank[:ua] < va) + on_u + on_v) / sample.n
-    out = np.clip(flat.reshape(u.shape), 0.0, 1.0)
-    return unwrap(out, scalar)
+    step = max(1, BATCH // sample.n)
+    for i0 in range(0, u.size, step):
+        uw, fu_all = _factor_rows(kerns[i0 : i0 + step], su)
+        vw, fv_all = _factor_rows(kerns[u.size + i0 : u.size + i0 + step], sv)
+        for i, (ua, ub, us, va, vb, vs) in enumerate(zip(*(x.tolist() for x in uw + vw)), i0):
+            fu, fv = fu_all[us : us + ub - ua], fv_all[vs : vs + vb - va]
+            # The v-factor at the u-window's points: 1 before va, fv on [va, vb), 0 from vb.
+            at = np.clip(v_rank[ua:ub].astype(np.intp) - (va - 1), 0, vb - va + 1)
+            on_u = np.sum(fu * np.concatenate(([1.0], fv, [0.0]))[at])
+            on_v = np.sum(np.where(su.rank[sv.order[va:vb]] < ua, fv, 0.0))
+            flat[i] = (np.count_nonzero(v_rank[:ua] < va) + on_u + on_v) / sample.n
+    return unwrap(np.clip(flat.reshape(u.shape), 0.0, 1.0), scalar)
 
 
 # Width of the column blocks that the grid contraction streams over.
@@ -130,8 +152,8 @@ BLOCK = 2048
 
 def _grid_sums(grid: np.ndarray, su: SortedColumn, sv: SortedColumn, policy: BandwidthPolicy) -> np.ndarray:
     """S[i, j], the sum over the sample of the u-factor at grid[i] times the
-    v-factor at grid[j], streamed over the data in u-sorted order, BLOCK
-    columns at a time.
+    v-factor at grid[j] (both axes share the grid's kernels), streamed over
+    the data in u-sorted order, BLOCK columns at a time.
 
     On a block a u-factor row is all ones, all zeros or partial.  The block of
     every v-factor is built from a rank compare plus that block's v-window
@@ -139,33 +161,26 @@ def _grid_sums(grid: np.ndarray, su: SortedColumn, sv: SortedColumn, policy: Ban
     skipped, and only the few partial rows take a matrix product.
     """
     n, g = su.values.size, grid.size
-    u_rows = [(a, b, _inside(kern, a, b, su)) for kern, a, b in (_window(c, su, policy) for c in grid)]
-    ua = np.array([a for a, _, _ in u_rows])
-    ub = np.array([b for _, b, _ in u_rows])
-
-    # The v-windows' entries: value, the block of the point's u-sorted
-    # position and the entry's cell in that block's (g, width) v-factor.
+    kerns = [LocalKernel.at(c, policy.bandwidth(c)) for c in grid]
+    (ua, ub, ustart), u_values = _factor_rows(kerns, su)
+    (va, vb, _), values = _factor_rows(kerns, sv)
+    # The v-windows' entries: the block of the point's u-sorted position and
+    # the entry's cell in that block's (g, width) v-factor.
     width = min(n, BLOCK)
     nblocks = -(-n // width)
-    v_wins = [_window(c, sv, policy) for c in grid]
-    va = np.array([a for _, a, _ in v_wins], dtype=sv.rank.dtype)
-    size = sum(b - a for _, a, b in v_wins)
-    values = np.empty(size)
-    blocks = np.empty(size, dtype=np.min_scalar_type(nblocks))
-    cells = np.empty(size, dtype=np.min_scalar_type(g * width))
-    lo = 0
-    for j, (kern, a, b) in enumerate(v_wins):
-        hi = lo + b - a
-        values[lo:hi] = _inside(kern, a, b, sv)
-        blocks[lo:hi], cells[lo:hi] = np.divmod(su.rank[sv.order[a:b]], width)
-        cells[lo:hi] += j * width
-        lo = hi
+    at_u = su.rank[sv.order]  # u-sorted position of each v-sorted point
+    blocks, cells = np.divmod(np.concatenate([at_u[a:b] for a, b in zip(va.tolist(), vb.tolist())]), width)
+    blocks = blocks.astype(np.min_scalar_type(nblocks))
+    cells = cells.astype(np.min_scalar_type(g * width), copy=False)
+    cells += np.repeat(np.arange(g, dtype=cells.dtype) * width, vb - va)
     # Group the entries by block with a stable (radix) sort of the small block ids.
     by_block = np.argsort(blocks, kind="stable")
     starts = np.concatenate(([0], np.cumsum(np.bincount(blocks, minlength=nblocks))))
     values, cells = values[by_block], cells[by_block]
     del blocks, by_block
 
+    va = va.astype(sv.rank.dtype)
+    u_rows = list(zip(ua.tolist(), ub.tolist(), (ustart - ua).tolist()))
     v_rank = sv.rank[su.order]  # v-rank of the point at each u-sorted position
     sums = np.zeros((g, g))
     kv = np.empty((g, width))
@@ -178,10 +193,10 @@ def _grid_sums(grid: np.ndarray, su: SortedColumn, sv: SortedColumn, policy: Ban
         partial = np.flatnonzero((ua < e) & (ub > s))
         ku = np.zeros((partial.size, e - s))
         for row, i in zip(ku, partial):
-            a, b, inside = u_rows[i]
+            a, b, off = u_rows[i]
             row[: max(a - s, 0)] = 1.0
             lo, hi = max(a, s), min(b, e)
-            row[lo - s : hi - s] = inside[lo - a : hi - a]
+            row[lo - s : hi - s] = u_values[off + lo : off + hi]
         sums[partial] += ku @ block.T
     return sums
 
@@ -191,12 +206,10 @@ def evaluate_grid(sample: PseudoSample, grid_size: int, policy: BandwidthPolicy)
     zero-width band: ``lower`` and ``upper`` are the ``values`` array itself,
     the half-width is 0 and ``n`` is the sample size.
 
-    The product structure makes the lattice a contraction of per-axis
-    factors, streamed over the sample in blocks (``_grid_sums``), so memory
-    is O(n + the windows' total width + grid_size * BLOCK) and no grid_size
-    by n factor matrix is built.  The result depends on the data alone, up
-    to the rounding of BLAS's matrix product, which a BLAS build or thread
-    count can change in the last bits.
+    Memory is O(n + the windows' total width + grid_size * BLOCK); no
+    grid_size by n factor matrix is built.  The result depends on the data
+    alone, up to the rounding of BLAS's matrix product, which a BLAS build or
+    thread count can change in the last bits.
     """
     grid_size = int(grid_size)
     if grid_size < 2:

@@ -66,7 +66,8 @@ class CopulaModel:
     def label(self) -> str:
         if self.family == INDEPENDENCE:
             return INDEPENDENCE
-        return f"{self.family} theta={self.theta:g}"
+        short = f"{self.theta:g}"  # six digits, unless that would name another model
+        return f"{self.family} theta={short if float(short) == self.theta else repr(self.theta)}"
 
 
 def _unit_args(a, b, names, strict):

@@ -32,9 +32,15 @@ class TestValidation:
         assert "sample size" in err
         assert "seed" in err
 
-    def test_theta_list_checked_only_for_its_family(self, capsys):
+    @pytest.mark.parametrize("family, theta, problem", [
+        ("gumbel", "0.5", "gumbel parameter must be >= 1, got 0.5"),
+        ("independence", "nan", "parameter list values must be finite, got nan"),
+    ], ids=["gumbel", "independence"])
+    def test_theta_list_checked_for_every_family(self, capsys, family, theta, problem):
+        # Each value meets the named family's domain, and no value may be
+        # non-finite, even where reproduce refuses the family itself.
         code = run_cli(
-            "reproduce", "--family", "gumbel", "--n", "0", "--theta-list", "-1",
+            "reproduce", "--family", family, "--n", "0", "--theta-list", theta,
             "--out", "/tmp/never.csv",
         )
         lines = capsys.readouterr().err.splitlines()
@@ -42,6 +48,7 @@ class TestValidation:
         assert lines == [
             "error:config: reproduce supports --family clayton or frank",
             "error:config: sample size must be >= 1, got 0",
+            f"error:config: {problem}",
         ]
 
     def test_unknown_family(self, capsys):

@@ -1,17 +1,18 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llcopula import estimator
 from llcopula.bands import BandGrid
 from llcopula.errors import ConfigError
 from llcopula.estimator import (
     BandwidthPolicy,
-    _inside,
-    _window,
+    _factor_rows,
     evaluate_grid,
     ll_copula_estimate,
 )
@@ -204,14 +205,20 @@ def dense_factor(coord, data, pol):
 
 
 def assert_windows_match_dense(grid, data, pol):
-    """Every node's window [a, b) and values in it equal the dense factor,
-    bitwise: ones before the window, zeros after it."""
+    """Every node's window [a, b) and values in it, as the batched factor rows
+    give them, equal the dense factor, bitwise: ones before the window, zeros
+    after it.  Returns the batches, the nodes' kernels grouped by the
+    ``local_linear_cdf`` call that evaluated them."""
     col = SortedColumn.of(data)
-    for g in grid:
+    kerns = [LocalKernel.at(g, pol.bandwidth(g)) for g in grid]
+    with mock.patch.object(estimator, "local_linear_cdf", wraps=local_linear_cdf) as llcdf:
+        (a, b, start), values = _factor_rows(kerns, col)
+    for g, a, b, s in zip(grid, a, b, start):
         want = dense_factor(g, data, pol)[col.order]
-        kern, a, b = _window(g, col, pol)
         assert (want[:a] == 1.0).all() and (want[b:] == 0.0).all()
-        assert np.array_equal(_inside(kern, a, b, col), want[a:b])
+        assert np.array_equal(values[s : s + b - a], want[a:b])
+    firsts = [next(i for i, k in enumerate(kerns) if k is call.args[0]) for call in llcdf.call_args_list]
+    return [kerns[i:j] for i, j in zip(firsts, firsts[1:] + [len(kerns)])]
 
 
 @st.composite
@@ -258,6 +265,25 @@ class TestWindowedParity:
         uu, vv = np.meshgrid(grid, grid[::-1], indexing="ij")
         assert_points_near_exact(ps, uu, vv, pol)
 
+    def test_batches_of_several_nodes(self):
+        # n = 5000 on 101 nodes: the interior nodes' windows are short, so
+        # consecutive nodes of one kernel shape share a local_linear_cdf call.
+        ps = make_sample(CopulaModel("frank", 5.0), 5000, 6)
+        pol = BandwidthPolicy.from_sample_size(5000)
+        grid = np.linspace(0.0, 1.0, 101)
+        for data in (ps.u, ps.v):
+            assert max(map(len, assert_windows_match_dense(grid, data, pol))) > 1
+
+    def test_runs_of_distinct_boundary_shapes(self):
+        # alpha = 1.3 with h_n = 0.4 at n = 40: the clamp floor log(n)/n keeps
+        # every node within it of an edge on its own truncated support, so
+        # consecutive nodes have distinct shapes, each alone in its call.
+        ps = make_sample(CopulaModel("clayton", 2.0), 40, 3)
+        pol = BandwidthPolicy.from_sample_size(40, h_n=0.4, alpha=1.3)
+        batches = assert_windows_match_dense(np.linspace(0.0, 1.0, 101), ps.u, pol)
+        lone = [b[0].moments for b in batches if len(b) == 1]
+        assert sum(m != nxt for m, nxt in zip(lone, lone[1:])) >= 4
+
 
 @pytest.mark.parametrize("decimals", [None, 3], ids=["continuous", "ties"])
 def test_estimator_at_scale(decimals):
@@ -267,7 +293,10 @@ def test_estimator_at_scale(decimals):
     ps = to_pseudo_ranks(RawSample(x, y))
     pol = BandwidthPolicy.from_sample_size(n)
     grid = np.linspace(0.0, 1.0, 11)
-    assert_windows_match_dense(grid, ps.u, pol)
+    # Central windows are about 12k points wide, so a node fills a batch by
+    # itself although its neighbour has the same kernel shape.
+    batches = assert_windows_match_dense(grid, ps.u, pol)
+    assert any(len(b) == 1 and b[0].moments == nxt[0].moments for b, nxt in zip(batches, batches[1:]))
     ku = np.stack([dense_factor(g, ps.u, pol) for g in grid])
     kv = np.stack([dense_factor(g, ps.v, pol) for g in grid])
     assert_grid_near_exact(evaluate_grid(ps, 11, pol).values, ku, kv)
@@ -346,8 +375,11 @@ class TestPointEstimate:
     def test_rejects_bad_inputs(self):
         ps = make_sample(CopulaModel("independence"), 50, 1)
         pol = BandwidthPolicy.from_sample_size(50)
-        with pytest.raises(ConfigError):
-            ll_copula_estimate(ps, 1.2, 0.5, pol)
+        for bad in (1.2, -0.1, np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigError):
+                ll_copula_estimate(ps, bad, 0.5, pol)
+            with pytest.raises(ConfigError):
+                ll_copula_estimate(ps, np.array([0.5, 0.5]), np.array([0.5, bad]), pol)
         with pytest.raises(ConfigError):
             ll_copula_estimate(ps, np.array([0.1, 0.2]), np.array([0.1]), pol)
 

@@ -152,6 +152,15 @@ class TestModelValidation:
     def test_family_normalized(self):
         assert CopulaModel("Clayton", 2.0).family == "clayton"
 
+    def test_labels_name_one_model_each(self):
+        # Six digits where they read back as theta, the full repr otherwise.
+        assert CopulaModel("gumbel", 1.0).label() == "gumbel theta=1"
+        assert CopulaModel("gumbel", 1.000000001).label() == "gumbel theta=1.000000001"
+        assert CopulaModel("clayton", 2.0).label() == "clayton theta=2"
+        assert CopulaModel("frank", 5.0).label() == "frank theta=5"
+        assert CopulaModel("gumbel", 1.69).label() == "gumbel theta=1.69"
+        assert CopulaModel("independence").label() == "independence"
+
 
 # The four family functions and the names of their two arguments.
 FAMILY_FUNCTIONS = [

@@ -3,8 +3,9 @@
 Each study script runs in its own interpreter at tiny sizes (about a second
 each); the test checks only that it exits 0 and prints its table header.  The
 coverage study's loop also runs in full, as the paper's simulation check.
-The byte report runs its command set once and diffs a nudged copy, and the
-README's library quickstart runs as written.
+The byte report runs its command set once and diffs a nudged copy, the
+benchmark pairs' summary is checked on made-up run records (no benchmark
+runs), and the README's library quickstart runs as written.
 """
 
 import contextlib
@@ -86,6 +87,31 @@ def test_byte_report_runs_and_diffs(tmp_path):
     assert lines[0].startswith("estimate_31_rank.csv: 1 of ")
     assert lines[0].endswith("largest by 1e-09; metadata removed: policy_alpha")
     assert lines[-1] == "18 of 19 files byte-identical"
+
+
+def test_bench_pairs_summary():
+    pairs = _load_script("bench_pairs")
+    runs = [{"seed": 6, "side": "parent", "correct": True, "failed": 0, **dict.fromkeys(pairs.METRICS, 9.0)}]
+    for seed, (p, c) in enumerate([(1.0, 0.5), (1.2, 0.6), (1.1, 1.3), (0.9, 0.4), (1.0, 0.5)], 1):
+        for side, value in (("parent", p), ("change", c)):
+            runs.append({"seed": seed, "side": side, "correct": True, "failed": 0, **dict.fromkeys(pairs.METRICS, value)})
+    summary = pairs.summarize(runs)
+    assert summary["all_correct"] and summary["failed"] == 0
+    # Seed 6 ran on the parent side only, so it makes no pair.
+    assert summary["pass_s.p50"] == {
+        "pairs": 5,
+        "change_lower": 4,
+        "parent_q1_median_q3": [1.0, 1.0, 1.1],
+        "change_q1_median_q3": [0.5, 0.5, 0.6],
+        "medians_differ_beyond_parent_iqr": True,
+    }
+    runs[-1].update(correct=False, failed=2)
+    for run in runs:
+        run["setup_s"] = 1.0 + 0.1 * run["seed"]  # the same on both sides
+    summary = pairs.summarize(runs)
+    assert not summary["all_correct"] and summary["failed"] == 2
+    assert summary["setup_s"]["change_lower"] == 0
+    assert not summary["setup_s"]["medians_differ_beyond_parent_iqr"]
 
 
 def test_readme_library_quickstart_runs():
