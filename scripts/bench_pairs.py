@@ -2,7 +2,7 @@
 """Alternating benchmark pairs of two checkouts, written as BENCH_<topic>.json.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload W [--workload W2 ...] \\
-        --pairs N --topic T [--heldout SEED] [--traced SEED] [--seconds S] \\
+        --pairs N --topic T [--heldout SEED] [--traced SEED] \\
         [--claim TEXT] [--out PATH]
 
 PARENT and CHANGE are two source trees, each with its own ``bench/run.py``.
@@ -33,12 +33,10 @@ from importlib.metadata import version
 METRICS = ("setup_s", "pass_s.p50", "pass_s.tail", "peak_rss_mb")
 
 
-def run_bench(tree: str, workload: str, seed: int, seconds: float | None, trace: bool = False) -> dict:
+def run_bench(tree: str, workload: str, seed: int, trace: bool = False) -> dict:
     """One ``bench/run.py`` run in ``tree``: its correctness counts and the
     metrics of its result line, end-to-end or (traced) per-layer."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(int(trace))]
-    if seconds is not None:
-        argv += ["--seconds", str(seconds)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: {' '.join(argv[1:])} exited with {proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -48,14 +46,14 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float | None, trace:
     return record
 
 
-def run_pairs(trees: dict, workload: str, seeds, seconds: float | None, trace: bool = False) -> list[dict]:
+def run_pairs(trees: dict, workload: str, seeds, trace: bool = False) -> list[dict]:
     """One pair per seed, the parent first on odd seeds; a record per run."""
     records = []
     for seed in seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
             record = {"seed": seed, "side": side, "first": order[0]}
-            record.update(run_bench(trees[side], workload, seed, seconds, trace))
+            record.update(run_bench(trees[side], workload, seed, trace))
             records.append(record)
             print(json.dumps({"workload": workload, "trace": int(trace), **record}), flush=True)
     return records
@@ -98,7 +96,6 @@ def main(argv=None) -> int:
     ap.add_argument("--topic", required=True)
     ap.add_argument("--heldout", type=int, default=None, help="one more pair per workload, summarized apart")
     ap.add_argument("--traced", type=int, default=None, help="seed of one traced pair per workload")
-    ap.add_argument("--seconds", type=float, default=None, help="warm-pass budget per run (default: BENCHMARK.json)")
     ap.add_argument("--claim", default="", help="the claim the pairs test, recorded as given")
     ap.add_argument("--out", default=None, help="output path (default: BENCH_<topic>.json here)")
     args = ap.parse_args(argv)
@@ -107,15 +104,14 @@ def main(argv=None) -> int:
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     runs, heldout, traced = {}, {}, {}
     for workload in args.workload:
-        runs[workload] = run_pairs(trees, workload, range(1, args.pairs + 1), args.seconds)
+        runs[workload] = run_pairs(trees, workload, range(1, args.pairs + 1))
         if args.heldout is not None:
-            heldout[workload] = run_pairs(trees, workload, [args.heldout], args.seconds)
+            heldout[workload] = run_pairs(trees, workload, [args.heldout])
         if args.traced is not None:
-            traced[workload] = run_pairs(trees, workload, [args.traced], args.seconds, trace=True)
-    seconds = "BENCHMARK.json's run_seconds" if args.seconds is None else f"{args.seconds:g}"
+            traced[workload] = run_pairs(trees, workload, [args.traced], trace=True)
     report = {
         "topic": args.topic,
-        "command": f"python3 bench/run.py --workload <workload> --seed <seed> --trace 0 (seconds: {seconds})",
+        "command": "python3 bench/run.py --workload <workload> --seed <seed> --trace 0 (seconds: BENCHMARK.json's run_seconds)",
         "method": (f"{args.pairs} pairs per workload, seeds 1-{args.pairs}; within a pair the parent "
                    "runs first on odd seeds and the change on even ones"),
         "machine": f"{os.cpu_count()} CPUs, Python {platform.python_version()}, numpy {version('numpy')}",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 
 from .bands import BandParameters, band_halfwidth, confidence_bands
@@ -159,7 +159,13 @@ def _estimate_from_file(config: RunConfig):
     pseudo = _pseudo_from_file(config)
     config = replace(config, n=pseudo.n)
     policy = _policy_for(config)
-    meta = {**config.as_meta(), **{f"policy_{k}": v for k, v in asdict(policy).items()}}
+    meta = {
+        **config.as_meta(),
+        "policy_h_n": policy.h_n,
+        "policy_h_min": policy.h_min,
+        "policy_h_max": policy.h_max,
+        "policy_alpha": policy.alpha,
+    }
     return replace(evaluate_grid(pseudo, config.grid_size, policy), meta=meta)
 
 

@@ -82,17 +82,23 @@ class BandwidthPolicy:
 BATCH = 2**13
 
 
-def _factor_rows(kerns: list, col: SortedColumn):
-    """Each kernel's window [a, b) on the sorted column, outside which its
-    factor K((u - X)/h) is 1 (before) or 0 (after), and the factor's values
-    on all windows, concatenated: kernel i's b[i] - a[i] from values[start[i]].
+def _lattice(kerns: list, col: SortedColumn):
+    """Each kernel's u, h, support [lo, hi] and window [a, b) on the sorted
+    column, outside which its factor K((u - X)/h) is 1 (before) or 0 (after):
+    six arrays, the windows from one vectorised search."""
+    u, h, lo, hi = np.array([(k.u, k.h, k.moments.lo, k.moments.hi) for k in kerns]).T
+    return (u, h, lo, hi, *col.window(u, h, lo, hi))
+
+
+def _factor_rows(kerns: list, col: SortedColumn, lattice):
+    """The factors' values on their windows, concatenated, for the kernels'
+    ``_lattice`` on the column: kernel i's b[i] - a[i] values from start[i].
     A run of kernels of one support [lo, hi] has bitwise-equal moments, so it
     shares one ``local_linear_cdf`` call on up to BATCH entries; a window alone
     in its call is evaluated on its slice.  (u - X)/h is the same IEEE
     operation per entry either way, so no value differs from the lone kernel's.
     """
-    u, h, lo, hi = np.array([(k.u, k.h, k.moments.lo, k.moments.hi) for k in kerns]).T
-    a, b = col.window(u, h, lo, hi)
+    u, h, lo, hi, a, b = lattice
     bounds = np.concatenate(([0], np.cumsum(b - a)))  # kernel i's values at bounds[i]:bounds[i + 1]
     values = np.empty(bounds[-1])
     i = 0
@@ -108,36 +114,42 @@ def _factor_rows(kerns: list, col: SortedColumn):
             t = (np.repeat(u[i:j], w) - x) / np.repeat(h[i:j], w)
         values[bounds[i] : bounds[j]] = local_linear_cdf(kerns[i], t)
         i = j
-    return (a, b, bounds[:-1]), values
+    return bounds[:-1], values
 
 
 def ll_copula_estimate(sample: PseudoSample, u, v, policy: BandwidthPolicy):
     """Smoothed copula estimate at paired coordinates; clipped into [0, 1].
 
-    The points go in chunks of max(1, BATCH // n), whose windows hold at most
+    Every point's windows come from one search per axis; their values are
+    evaluated in chunks of max(1, BATCH // n) points, which hold at most
     max(BATCH, n) entries per axis.  Each estimate is a window sum over the
     sorted columns, in O(n) time for the count and O(window) for the rest.
     Clipping matters only within float dust of the boundary, where negative
     local-linear weights can push the raw sum marginally outside.
     """
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    u, v = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (u, v))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    v = np.atleast_1d(np.asarray(v, dtype=float))
     if u.shape != v.shape:
         raise ConfigError("u and v must be paired arrays of equal shape")
     coords, which = np.unique(np.concatenate((u.ravel(), v.ravel())), return_inverse=True)
     if not ((coords >= 0) & (coords <= 1)).all():  # NaN fails both compares
         raise ConfigError("evaluation points must lie in the unit square")
     kerns = [LocalKernel.at(c, policy.bandwidth(c)) for c in coords]
-    kerns = [kerns[k] for k in which]  # the points' u-kernels, then their v-kernels
+    ku, kv = [kerns[k] for k in which[: u.size]], [kerns[k] for k in which[u.size :]]
     su, sv = sample.sorted_columns
+    lu, lv = _lattice(ku, su), _lattice(kv, sv)
+    windows = np.column_stack(lu[4:] + lv[4:]).tolist()  # per point: ua, ub, va, vb
     v_rank = sv.rank[su.order]  # v-rank of the point at each u-sorted position
     flat = np.empty(u.size)
     step = max(1, BATCH // sample.n)
     for i0 in range(0, u.size, step):
-        uw, fu_all = _factor_rows(kerns[i0 : i0 + step], su)
-        vw, fv_all = _factor_rows(kerns[u.size + i0 : u.size + i0 + step], sv)
-        for i, (ua, ub, us, va, vb, vs) in enumerate(zip(*(x.tolist() for x in uw + vw)), i0):
-            fu, fv = fu_all[us : us + ub - ua], fv_all[vs : vs + vb - va]
+        part = slice(i0, i0 + step)
+        us, fu_all = _factor_rows(ku[part], su, [x[part] for x in lu])
+        vs, fv_all = _factor_rows(kv[part], sv, [x[part] for x in lv])
+        for i, s, t in zip(range(i0, u.size), us.tolist(), vs.tolist()):
+            ua, ub, va, vb = windows[i]
+            fu, fv = fu_all[s : s + ub - ua], fv_all[t : t + vb - va]
             # The v-factor at the u-window's points: 1 before va, fv on [va, vb), 0 from vb.
             at = np.clip(v_rank[ua:ub].astype(np.intp) - (va - 1), 0, vb - va + 1)
             on_u = np.sum(fu * np.concatenate(([1.0], fv, [0.0]))[at])
@@ -162,8 +174,9 @@ def _grid_sums(grid: np.ndarray, su: SortedColumn, sv: SortedColumn, policy: Ban
     """
     n, g = su.values.size, grid.size
     kerns = [LocalKernel.at(c, policy.bandwidth(c)) for c in grid]
-    (ua, ub, ustart), u_values = _factor_rows(kerns, su)
-    (va, vb, _), values = _factor_rows(kerns, sv)
+    lu, lv = _lattice(kerns, su), _lattice(kerns, sv)
+    (ustart, u_values), (_, values) = _factor_rows(kerns, su, lu), _factor_rows(kerns, sv, lv)
+    ua, ub, va, vb = lu[4:] + lv[4:]
     # The v-windows' entries: the block of the point's u-sorted position and
     # the entry's cell in that block's (g, width) v-factor.
     width = min(n, BLOCK)

@@ -13,6 +13,7 @@ from llcopula.errors import ConfigError
 from llcopula.estimator import (
     BandwidthPolicy,
     _factor_rows,
+    _lattice,
     evaluate_grid,
     ll_copula_estimate,
 )
@@ -212,8 +213,9 @@ def assert_windows_match_dense(grid, data, pol):
     col = SortedColumn.of(data)
     kerns = [LocalKernel.at(g, pol.bandwidth(g)) for g in grid]
     with mock.patch.object(estimator, "local_linear_cdf", wraps=local_linear_cdf) as llcdf:
-        (a, b, start), values = _factor_rows(kerns, col)
-    for g, a, b, s in zip(grid, a, b, start):
+        lattice = _lattice(kerns, col)
+        start, values = _factor_rows(kerns, col, lattice)
+    for g, a, b, s in zip(grid, *lattice[4:], start):
         want = dense_factor(g, data, pol)[col.order]
         assert (want[:a] == 1.0).all() and (want[b:] == 0.0).all()
         assert np.array_equal(values[s : s + b - a], want[a:b])
