@@ -14,9 +14,13 @@ in its own tree; its end-to-end block (the last line of its stdout) becomes
 one run record.  The summary gives, per workload and metric, the pairs in
 which the change is lower, both sides' quartiles (inclusive method) and
 whether the medians differ by more than the parent's interquartile range.
-``--heldout`` adds one more pair per workload on a seed kept apart from the
-claim, summarized on its own; ``--traced`` adds one ``--trace 1`` pair per
-workload, recorded with every per-layer metric.
+A metric whose parent runs spread wider than the bound that the parent's
+BENCHMARK.json fixes for it (interquartile range above bound times median) is
+marked unresolved, since the pairs cannot tell it from unchanged, unless every
+run of the change is lower than every run of the parent.  ``--heldout`` adds
+one more pair per workload on a seed kept apart from the claim, summarized on
+its own; ``--traced`` adds one ``--trace 1`` pair per workload, recorded with
+every per-layer metric.
 """
 
 from __future__ import annotations
@@ -65,11 +69,19 @@ def quartiles(values: list[float]) -> list[float]:
     return [round(q, 4) for q in statistics.quantiles(values, n=4, method="inclusive")]
 
 
-def summarize(runs: list[dict]) -> dict:
+def load_bounds(tree: str) -> dict:
+    """Each end-to-end metric's bound, from the tree's BENCHMARK.json (read only)."""
+    with open(os.path.join(tree, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return {metric["name"]: metric["bound"] for metric in json.load(fh)["end_to_end"]}
+
+
+def summarize(runs: list[dict], bounds: dict) -> dict:
     """Whether every run was correct, the failed operations, and per metric
     over the seeds run on both sides: the pairs, the change-lower count, both
-    sides' [q1, median, q3] and whether the medians differ by more than the
-    parent's IQR.  ``runs`` holds one record per side and seed."""
+    sides' [q1, median, q3], whether the medians differ by more than the
+    parent's IQR, and whether that IQR is wider than the metric's bound times
+    the parent median (unresolved, unless every change run is lower than
+    every parent run).  ``runs`` holds one record per side and seed."""
     sides = {side: {r["seed"]: r for r in runs if r["side"] == side} for side in ("parent", "change")}
     seeds = sorted(set(sides["parent"]) & set(sides["change"]))
     out = {"all_correct": all(r["correct"] for r in runs), "failed": sum(r["failed"] for r in runs)}
@@ -83,6 +95,7 @@ def summarize(runs: list[dict]) -> dict:
             "parent_q1_median_q3": pq,
             "change_q1_median_q3": cq,
             "medians_differ_beyond_parent_iqr": abs(cq[1] - pq[1]) > pq[2] - pq[0],
+            "unresolved": pq[2] - pq[0] > bounds[name] * pq[1] and not max(change) < min(parent),
         }
     return out
 
@@ -102,6 +115,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    bounds = load_bounds(trees["parent"])
     runs, heldout, traced = {}, {}, {}
     for workload in args.workload:
         runs[workload] = run_pairs(trees, workload, range(1, args.pairs + 1))
@@ -116,9 +130,9 @@ def main(argv=None) -> int:
                    "runs first on odd seeds and the change on even ones"),
         "machine": f"{os.cpu_count()} CPUs, Python {platform.python_version()}, numpy {version('numpy')}",
         "claim": args.claim,
-        "summary": {w: summarize(r) for w, r in runs.items()},
+        "summary": {w: summarize(r, bounds) for w, r in runs.items()},
         "heldout_seed": args.heldout,
-        "heldout_summary": {w: summarize(r) for w, r in heldout.items()},
+        "heldout_summary": {w: summarize(r, bounds) for w, r in heldout.items()},
         "runs": runs,
         "heldout_runs": heldout,
         "traced_seed": args.traced,

@@ -95,7 +95,7 @@ def validate_config(config: RunConfig) -> list[str]:
         try:
             if config.command == "sample":
                 _model_from_config(config)
-            elif config.family not in REPRODUCE_THETAS:
+            elif str(config.family).lower() not in REPRODUCE_THETAS:
                 raise ConfigError("reproduce supports --family clayton or frank")
         except ConfigError as exc:
             problems.append(str(exc))
@@ -228,7 +228,7 @@ def cmd_plot(config: RunConfig) -> int:
 
 def cmd_reproduce(config: RunConfig) -> int:
     """Containment tables: simulate, estimate at 10 uniform points, band, verdict."""
-    thetas = config.thetas or REPRODUCE_THETAS[config.family]
+    thetas = config.thetas or REPRODUCE_THETAS[config.family.lower()]
     streams = SeededStream(config.seed).substreams(2 * len(thetas))
     params = BandParameters(n=config.n, A_c=config.A_c, epsilon=config.epsilon)
     halfwidth = band_halfwidth(params)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,13 +159,24 @@ def ll_copula_estimate(sample: PseudoSample, u, v, policy: BandwidthPolicy):
     return unwrap(np.clip(flat.reshape(u.shape), 0.0, 1.0), scalar)
 
 
-# Width of the column blocks that the grid contraction streams over.
-BLOCK = 2048
+# Width of the column blocks that the grid contraction streams over: a
+# partial u-row costs about (BLOCK + its window) * grid size (256-2048 tried).
+BLOCK = 512
+GROUP = 4
+# Largest m*n*k that OpenBLAS multiplies on one thread (its default): a thread
+# hand-off costs more than these small products, far more on a busy machine.
+BLAS_SERIAL = 2**18
 
 
-def _grid_sums(grid: np.ndarray, su: SortedColumn, sv: SortedColumn, policy: BandwidthPolicy) -> np.ndarray:
-    """S[i, j], the sum over the sample of the u-factor at grid[i] times the
-    v-factor at grid[j] (both axes share the grid's kernels), streamed over
+@lru_cache(maxsize=16)
+def _grid_kernels(grid_size: int, policy: BandwidthPolicy) -> tuple:
+    """The kernels at ``np.linspace(0, 1, grid_size)``, once per size and (frozen) policy."""
+    return tuple(LocalKernel.at(c, policy.bandwidth(c)) for c in np.linspace(0.0, 1.0, grid_size))
+
+
+def _grid_sums(grid_size: int, su: SortedColumn, sv: SortedColumn, policy: BandwidthPolicy) -> np.ndarray:
+    """S[i, j], the sum over the sample of the u-factor at node i times the
+    v-factor at node j (both axes share the grid's kernels), streamed over
     the data in u-sorted order, BLOCK columns at a time.
 
     On a block a u-factor row is all ones, all zeros or partial.  The block of
@@ -172,10 +184,13 @@ def _grid_sums(grid: np.ndarray, su: SortedColumn, sv: SortedColumn, policy: Ban
     entries.  All-ones u-rows add the block's column sums, all-zero rows are
     skipped, and only the few partial rows take a matrix product.
     """
-    n, g = su.values.size, grid.size
-    kerns = [LocalKernel.at(c, policy.bandwidth(c)) for c in grid]
-    lu, lv = _lattice(kerns, su), _lattice(kerns, sv)
-    (ustart, u_values), (_, values) = _factor_rows(kerns, su, lu), _factor_rows(kerns, sv, lv)
+    n, g = su.values.size, grid_size
+    kerns = _grid_kernels(grid_size, policy)
+    lu = _lattice(kerns, su)
+    ustart, u_values = _factor_rows(kerns, su, lu)
+    # Equal sorted columns (rank data without ties) share the factor rows.
+    lv = lu if (same := np.array_equal(su.values, sv.values)) else _lattice(kerns, sv)
+    values = u_values if same else _factor_rows(kerns, sv, lv)[1]
     ua, ub, va, vb = lu[4:] + lv[4:]
     # The v-windows' entries: the block of the point's u-sorted position and
     # the entry's cell in that block's (g, width) v-factor.
@@ -195,14 +210,17 @@ def _grid_sums(grid: np.ndarray, su: SortedColumn, sv: SortedColumn, policy: Ban
     va = va.astype(sv.rank.dtype)
     u_rows = list(zip(ua.tolist(), ub.tolist(), (ustart - ua).tolist()))
     v_rank = sv.rank[su.order]  # v-rank of the point at each u-sorted position
-    sums = np.zeros((g, g))
+    rows = max(1, BLAS_SERIAL // (g * width))  # partial u-rows per product
+    sums, part = np.zeros((g, g)), np.zeros((g, g))  # part: this group of GROUP blocks
     kv = np.empty((g, width))
     for k, s in enumerate(range(0, n, width)):
+        if k % GROUP == 0:  # the large running sums round once per group, not per block
+            sums, part = sums + part, np.zeros((g, g))
         e = min(s + width, n)
         block = kv[:, : e - s]
         np.less(v_rank[s:e], va[:, None], out=block)
         kv.reshape(-1)[cells[starts[k] : starts[k + 1]]] = values[starts[k] : starts[k + 1]]
-        sums[ua >= e] += block.sum(axis=1)
+        part[ua >= e] += block.sum(axis=1)
         partial = np.flatnonzero((ua < e) & (ub > s))
         ku = np.zeros((partial.size, e - s))
         for row, i in zip(ku, partial):
@@ -210,8 +228,9 @@ def _grid_sums(grid: np.ndarray, su: SortedColumn, sv: SortedColumn, policy: Ban
             row[: max(a - s, 0)] = 1.0
             lo, hi = max(a, s), min(b, e)
             row[lo - s : hi - s] = u_values[off + lo : off + hi]
-        sums[partial] += ku @ block.T
-    return sums
+        for r in range(0, partial.size, rows):  # each product small enough for one BLAS thread
+            part[partial[r : r + rows]] += ku[r : r + rows] @ block.T
+    return sums + part
 
 
 def evaluate_grid(sample: PseudoSample, grid_size: int, policy: BandwidthPolicy) -> BandGrid:
@@ -219,15 +238,17 @@ def evaluate_grid(sample: PseudoSample, grid_size: int, policy: BandwidthPolicy)
     zero-width band: ``lower`` and ``upper`` are the ``values`` array itself,
     the half-width is 0 and ``n`` is the sample size.
 
-    Memory is O(n + the windows' total width + grid_size * BLOCK); no
-    grid_size by n factor matrix is built.  The result depends on the data
-    alone, up to the rounding of BLAS's matrix product, which a BLAS build or
-    thread count can change in the last bits.
+    The nodes' kernels are built once per grid size and policy.  Memory is
+    O(n + the windows' total width + grid_size * BLOCK); no grid_size by n
+    factor matrix is built.  The result depends on the data alone, up to the
+    rounding of BLAS's matrix product, which the BLAS build and the CPU code
+    it selects can change in the last bits; the thread count cannot (see
+    BLAS_SERIAL).
     """
     grid_size = int(grid_size)
     if grid_size < 2:
         raise ConfigError(f"grid size must be >= 2, got {grid_size}")
     grid = np.linspace(0.0, 1.0, grid_size)
-    sums = _grid_sums(grid, *sample.sorted_columns, policy)
+    sums = _grid_sums(grid_size, *sample.sorted_columns, policy)
     values = np.clip(sums / sample.n, 0.0, 1.0)
     return BandGrid(grid, grid, values, values, values, halfwidth=0.0, n=sample.n)

@@ -116,14 +116,15 @@ def local_linear_cdf(kern: LocalKernel, x):
     c3, c4 = -0.25 * m.a2 / m.det, 0.1875 * m.a1 / m.det
     c0 = -m.lo * (c1 + m.lo * (c2 + m.lo * (c3 + m.lo * c4)))
     x = np.asarray(x, dtype=float)
-    xc = np.clip(x, m.lo, m.hi)
-    val = xc * c4
-    for c in (c3, c2, c1):
-        val += c
-        val *= xc
+    with np.errstate(over="ignore", invalid="ignore"):  # only at flat x, overwritten below
+        val = np.multiply(x, c4, out=np.empty(x.shape))
+        for c in (c3, c2, c1):
+            val += c
+            val *= x
     val += c0
-    out = np.where(x <= m.lo, 0.0, np.where(x >= m.hi, 1.0, val))
-    return unwrap(out, out.ndim == 0)
+    val[x <= m.lo] = 0.0
+    val[x >= m.hi] = 1.0
+    return unwrap(val, val.ndim == 0)
 
 
 # Relative widening of a window's edges.  The argument (x - X)/h rounds by a

@@ -338,6 +338,15 @@ class TestReproduce:
         assert run_cli("reproduce", "--family", "gumbel", "--out", "/tmp/x.csv") == 2
         assert "clayton or frank" in capsys.readouterr().err
 
+    def test_family_case_is_ignored(self, tmp_path):
+        # As in sample, the family name is read case-insensitively.
+        rows = []
+        for family in ("Clayton", "clayton"):
+            out = tmp_path / f"{family}.csv"
+            assert run_cli("reproduce", "--family", family, "--n", "200", "--seed", "3", "--out", str(out)) == 0
+            rows.append([l for l in out.read_text().splitlines() if l and not l.startswith("#")])
+        assert len(rows[0]) == 31 and rows[0] == rows[1]
+
 
 class TestDeterminism:
     def test_pipeline_byte_identical(self, tmp_path):

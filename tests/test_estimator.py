@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llcopula import estimator
+from llcopula import estimator, kernels
 from llcopula.bands import BandGrid
 from llcopula.errors import ConfigError
 from llcopula.estimator import (
@@ -20,7 +24,7 @@ from llcopula.estimator import (
 from llcopula.families import CopulaModel, cdf
 from llcopula.fitting import empirical_kendall_tau
 from llcopula.kernels import LocalKernel, SortedColumn, local_linear_cdf
-from llcopula.margins import PseudoSample, RawSample, to_pseudo_ranks
+from llcopula.margins import PseudoSample, RawSample, to_pseudo_ranks, to_pseudo_smoothed
 from llcopula.sampling import SeededStream, sample_copula
 from oracles import empirical_copula
 
@@ -285,6 +289,83 @@ class TestWindowedParity:
         batches = assert_windows_match_dense(np.linspace(0.0, 1.0, 101), ps.u, pol)
         lone = [b[0].moments for b in batches if len(b) == 1]
         assert sum(m != nxt for m, nxt in zip(lone, lone[1:])) >= 4
+
+
+class TestGridReuse:
+    """Work that ``evaluate_grid`` shares across calls and axes leaves every bit as it was."""
+
+    def test_kernel_table_per_grid_size_and_policy(self):
+        ps = make_sample(CopulaModel("gumbel", 1.69), 1000, 13)
+
+        def policy(alpha=0.5):  # a new, equal object on each call
+            return BandwidthPolicy.from_sample_size(1000, alpha=alpha)
+
+        estimator._grid_kernels.cache_clear()
+        with mock.patch.object(kernels, "kernel_moments", wraps=kernels.kernel_moments) as moments:
+            first = evaluate_grid(ps, 101, policy()).values
+            assert moments.call_count == 101
+            again = evaluate_grid(ps, 101, policy()).values
+            assert moments.call_count == 101
+            evaluate_grid(ps, 101, policy(0.7))
+            estimator._grid_kernels.cache_clear()
+            fresh = evaluate_grid(ps, 101, policy()).values
+        assert moments.call_count == 303
+        assert np.array_equal(first, again) and np.array_equal(first, fresh)
+
+    @pytest.mark.parametrize("decimals, calls", [(None, 1), (2, 2)], ids=["tie-free", "ties"])
+    def test_equal_sorted_columns_share_factor_rows(self, decimals, calls):
+        # Tie-free ranks make both sorted columns (1..n)/(n+1).
+        draws = sample_copula(CopulaModel("clayton", 2.0), 3000, SeededStream(9))
+        x, y = (draws.u, draws.v) if decimals is None else (np.round(draws.u, 2), np.round(draws.v, 2))
+        ps = to_pseudo_ranks(RawSample(x, y))
+        pol = BandwidthPolicy.from_sample_size(3000)
+        with mock.patch.object(estimator, "_factor_rows", wraps=_factor_rows) as rows:
+            shared = evaluate_grid(ps, 101, pol).values
+        assert rows.call_count == calls
+        with mock.patch.object(np, "array_equal", return_value=False):
+            unshared = evaluate_grid(ps, 101, pol).values
+        assert np.array_equal(shared, unshared)
+
+    @pytest.mark.parametrize(
+        "n, rank", [(511, True), (512, True), (513, True), (2049, True), (5000, True), (5000, False)]
+    )
+    def test_near_exact_across_block_edges(self, n, rank):
+        # One block short of, at and past BLOCK, past a group of blocks, and
+        # the smoothed route's unequal columns.
+        ps = make_sample(CopulaModel("frank", 5.0), n, 14, rank)
+        if not rank:
+            ps = to_pseudo_smoothed(RawSample(np.expm1(2.5 * ps.u), -np.log1p(-0.995 * ps.v)))
+        pol = BandwidthPolicy.from_sample_size(n)
+        grid = np.linspace(0.0, 1.0, 21)
+        ku = np.stack([dense_factor(g, ps.u, pol) for g in grid])
+        kv = np.stack([dense_factor(g, ps.v, pol) for g in grid])
+        assert_grid_near_exact(evaluate_grid(ps, 21, pol).values, ku, kv)
+        # A sample that sorts its own columns gives the same bits.
+        assert np.array_equal(evaluate_grid(PseudoSample(ps.u, ps.v), 21, pol).values, evaluate_grid(ps, 21, pol).values)
+
+
+# The grid of a smoothed sample at n = 3000, hashed, in a fresh interpreter.
+GRID_HASH = """
+import hashlib, numpy as np
+from llcopula.estimator import BandwidthPolicy, evaluate_grid
+from llcopula.margins import RawSample, to_pseudo_smoothed
+u, v = np.random.default_rng(5).random((2, 3000))
+ps = to_pseudo_smoothed(RawSample(np.expm1(2.5 * u), u + v))
+print(hashlib.sha256(evaluate_grid(ps, 101, BandwidthPolicy.from_sample_size(3000)).values.tobytes()).hexdigest())
+"""
+
+
+def test_grid_bits_do_not_depend_on_blas_threads():
+    # Every partial-row product stays under OpenBLAS's one-thread size
+    # (BLAS_SERIAL), so the thread count moves no bit of the grid.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    hashes = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", GRID_HASH], env=env, capture_output=True, text=True, check=True)
+        hashes.add(run.stdout)
+    assert len(hashes) == 1
 
 
 @pytest.mark.parametrize("decimals", [None, 3], ids=["continuous", "ties"])

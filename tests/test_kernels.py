@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -117,6 +118,21 @@ def test_density_boundary_value_matches_quadrature_formula():
     kern = LocalKernel.at(u, h)
     assert local_linear_density(kern, t) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.23684210526315788, abs=1e-12)
+
+
+@pytest.mark.parametrize("u, h", [(0.5, 0.1), (0.0, 0.3), (1.0, 0.3), (0.05, 0.2)])
+def test_cdf_flat_ends_without_warnings(u, h):
+    # The quartic runs on every x, infinite and huge ones too, and raises no
+    # floating-point warning; the flat ends are exact, for arrays and scalars.
+    kern = LocalKernel.at(u, h)
+    m = kern.moments
+    x = np.array([-np.inf, -1e300, m.lo, np.nextafter(m.lo, -1.0), m.hi, np.nextafter(m.hi, 2.0), 1e300, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = local_linear_cdf(kern, x)
+        scalars = [local_linear_cdf(kern, np.float64(xi)) for xi in x]
+    assert got.tolist() == scalars == [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
+    assert all(type(v) is float for v in scalars)
 
 
 def test_cdf_saturates_outside_support():

@@ -1,5 +1,6 @@
 import inspect
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -209,6 +210,47 @@ def test_to_pseudo_smoothed_matches_direct_summation():
         direct_v = np.mean(epanechnikov_cdf((y[i] - y) / b2))
         assert ps.u[i] == pytest.approx(direct_u, abs=1e-12)
         assert ps.v[i] == pytest.approx(direct_v, abs=1e-12)
+
+
+def assert_sorted_columns_valid(ps):
+    for col, data in zip(ps.sorted_columns, (ps.u, ps.v)):
+        assert np.array_equal(col.values, np.sort(data))
+        assert np.array_equal(col.values, data[col.order])
+        assert np.array_equal(col.rank[col.order], np.arange(ps.n))
+
+
+def test_to_pseudo_smoothed_hands_over_raw_sorts():
+    # Each raw column is sorted once; the smoothed values are nondecreasing
+    # along that order, so it becomes the sample's sorted column.
+    rng = np.random.default_rng(11)
+    x = np.expm1(2.5 * rng.random(3000))
+    s = RawSample(x, -np.log1p(-0.995 * rng.random(3000)))
+    with mock.patch.object(margins.SortedColumn, "of", wraps=margins.SortedColumn.of) as of:
+        ps = to_pseudo_smoothed(s)
+    assert "sorted_columns" in vars(ps)
+    assert_sorted_columns_valid(ps)
+    assert np.array_equal(ps.sorted_columns[0].order, np.argsort(x))
+    # Two sorts of the raw columns, two handed-over orders; no other sort.
+    assert [call.args[1:] for call in of.call_args_list[:2]] == [(), ()]
+    assert [call.args[1] is not None for call in of.call_args_list[2:]] == [True, True]
+    assert np.array_equal(ps.u, smoothed_marginal_cdf(s.x, default_margin_bandwidth(s.x), s.x))
+    assert np.array_equal(ps.v, smoothed_marginal_cdf(s.y, default_margin_bandwidth(s.y), s.y))
+
+
+def test_to_pseudo_smoothed_sorts_a_non_monotone_column_itself():
+    # Where the values are not nondecreasing along the raw order, the
+    # sample's column is sorted from the values, as without a handed order.
+    rng = np.random.default_rng(12)
+    s = RawSample(rng.normal(size=500), rng.normal(size=500))
+    at_sorted = margins._cdf_at
+
+    def shuffled(col, bandwidth, q):
+        return rng.permutation(at_sorted(col, bandwidth, q))
+
+    with mock.patch.object(margins, "_cdf_at", side_effect=shuffled):
+        ps = to_pseudo_smoothed(s)
+    assert_sorted_columns_valid(ps)
+    assert not np.array_equal(ps.sorted_columns[0].order, np.argsort(s.x))
 
 
 def test_default_margin_bandwidth():

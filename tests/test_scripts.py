@@ -95,7 +95,9 @@ def test_bench_pairs_summary():
     for seed, (p, c) in enumerate([(1.0, 0.5), (1.2, 0.6), (1.1, 1.3), (0.9, 0.4), (1.0, 0.5)], 1):
         for side, value in (("parent", p), ("change", c)):
             runs.append({"seed": seed, "side": side, "correct": True, "failed": 0, **dict.fromkeys(pairs.METRICS, value)})
-    summary = pairs.summarize(runs)
+    bounds = pairs.load_bounds(str(ROOT))
+    assert set(bounds) == set(pairs.METRICS)
+    summary = pairs.summarize(runs, bounds)
     assert summary["all_correct"] and summary["failed"] == 0
     # Seed 6 ran on the parent side only, so it makes no pair.
     assert summary["pass_s.p50"] == {
@@ -104,14 +106,36 @@ def test_bench_pairs_summary():
         "parent_q1_median_q3": [1.0, 1.0, 1.1],
         "change_q1_median_q3": [0.5, 0.5, 0.6],
         "medians_differ_beyond_parent_iqr": True,
+        "unresolved": False,
     }
     runs[-1].update(correct=False, failed=2)
     for run in runs:
         run["setup_s"] = 1.0 + 0.1 * run["seed"]  # the same on both sides
-    summary = pairs.summarize(runs)
+    summary = pairs.summarize(runs, bounds)
     assert not summary["all_correct"] and summary["failed"] == 2
     assert summary["setup_s"]["change_lower"] == 0
     assert not summary["setup_s"]["medians_differ_beyond_parent_iqr"]
+
+
+def test_bench_pairs_marks_wide_parent_spread_unresolved():
+    # The parent's runs spread over [1.0, 1.5] around a median of 1.2: an IQR
+    # of 0.3, wider than a 0.2 bound times the median, so a change inside
+    # that spread is unresolved, not unchanged, while one whose every run is
+    # below every parent run is resolved.
+    pairs = _load_script("bench_pairs")
+    bounds = dict.fromkeys(pairs.METRICS, 0.2)
+    parent = [1.0, 1.5, 1.2, 1.0, 1.5]
+    for change, unresolved in (([0.9, 0.8, 0.7, 0.9, 0.6], False), ([1.1, 1.4, 1.2, 1.0, 1.3], True)):
+        runs = [
+            {"seed": seed, "side": side, "correct": True, "failed": 0, **dict.fromkeys(pairs.METRICS, value)}
+            for seed, pair in enumerate(zip(parent, change), 1)
+            for side, value in zip(("parent", "change"), pair)
+        ]
+        summary = pairs.summarize(runs, bounds)
+        assert summary["pass_s.p50"]["parent_q1_median_q3"] == [1.0, 1.2, 1.5]
+        assert all(summary[name]["unresolved"] is unresolved for name in pairs.METRICS)
+    # Under a bound wider than the spread, the second change is resolved.
+    assert not pairs.summarize(runs, dict.fromkeys(pairs.METRICS, 0.5))["setup_s"]["unresolved"]
 
 
 def test_readme_library_quickstart_runs():
