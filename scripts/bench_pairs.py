@@ -77,15 +77,16 @@ def load_bounds(tree: str) -> dict:
 
 def summarize(runs: list[dict], bounds: dict) -> dict:
     """Whether every run was correct, the failed operations, and per metric
-    over the seeds run on both sides: the pairs, the change-lower count, both
-    sides' [q1, median, q3], whether the medians differ by more than the
-    parent's IQR, and whether that IQR is wider than the metric's bound times
-    the parent median (unresolved, unless every change run is lower than
-    every parent run).  ``runs`` holds one record per side and seed."""
+    named in ``bounds``, over the seeds run on both sides: the pairs, the
+    change-lower count, both sides' [q1, median, q3], whether the medians
+    differ by more than the parent's IQR, and whether that IQR is wider than
+    the metric's bound times the parent median (unresolved, unless every
+    change run is lower than every parent run).  ``runs`` holds one record per
+    side and seed."""
     sides = {side: {r["seed"]: r for r in runs if r["side"] == side} for side in ("parent", "change")}
     seeds = sorted(set(sides["parent"]) & set(sides["change"]))
     out = {"all_correct": all(r["correct"] for r in runs), "failed": sum(r["failed"] for r in runs)}
-    for name in METRICS:
+    for name in bounds:
         parent = [sides["parent"][s][name] for s in seeds]
         change = [sides["change"][s][name] for s in seeds]
         pq, cq = quartiles(parent), quartiles(change)

@@ -77,20 +77,32 @@ def meta_line(key: str, value) -> str:
     return f"# {key} = {text}"
 
 
+# Data rows per numpy parse or per ``%`` format: bounds the cells held at once.
+BLOCK_ROWS = 1024
+
+
+def format_rows(template: str, table: np.ndarray, sep: str = "\n") -> list[str]:
+    """``template`` filled from each row of the 2-D array ``table``, the rows
+    joined by ``sep``: one string per BLOCK_ROWS rows, each made by one ``%``
+    call, to be joined by ``sep`` in turn (none for no rows)."""
+    blocks = (table[i : i + BLOCK_ROWS] for i in range(0, len(table), BLOCK_ROWS))
+    return [sep.join([template] * len(block)) % tuple(block.ravel().tolist()) for block in blocks]
+
+
 def write_csv(path: str, header, rows, meta: dict | None = None) -> None:
     """Header, rows, then one ``meta_line`` per metadata entry.  Cells are
     written as metadata values are, except that a cell holding a comma or a
     double quote is quoted.  A string holding a line break, or metadata that
     would not read back, raises ``ConfigError`` before any file is made.
-    ``rows`` may be a lazy iterable, so a large table is never held twice."""
+    ``rows`` is a 2-D float array, written one ``%.17g`` template per row
+    (the digits of a float cell), or a lazy iterable of rows of cells."""
     lines = [",".join(header)]
-    lines.extend(",".join(map(_cell, row)) for row in rows)
+    if isinstance(rows, np.ndarray):
+        lines.extend(format_rows(",".join(["%.17g"] * rows.shape[1]), rows))
+    else:
+        lines.extend(",".join(map(_cell, row)) for row in rows)
     lines.extend(meta_line(key, value) for key, value in (meta or {}).items())
     atomic_write(path, "\n".join(lines) + "\n")
-
-
-# Data rows per numpy parse: bounds the text cells held at once.
-READ_BLOCK = 1024
 
 
 def _read_csv(path: str, ncols: int):
@@ -100,7 +112,7 @@ def _read_csv(path: str, ncols: int):
     counted and ``#`` ones, anywhere, kept in ``notes`` as ``(lineno, text)``.
     The first other line, at line ``first`` (0 if none), gives the ``header``
     cells if its first cell is not a float (else None); the rest are ``data``,
-    ``(m, ncols)`` finite floats, parsed READ_BLOCK rows at a time.  A fault
+    ``(m, ncols)`` finite floats, parsed BLOCK_ROWS rows at a time.  A fault
     raises ``InputError`` at ``path:line``.
     """
     if not os.path.exists(path):
@@ -115,7 +127,7 @@ def _read_csv(path: str, ncols: int):
                 blanks += 1
             elif first:
                 rows.append((lineno, line))
-                if len(rows) == READ_BLOCK:
+                if len(rows) == BLOCK_ROWS:
                     blocks.append(_parse_rows(path, rows, ncols))
                     rows = []
             else:
@@ -167,8 +179,7 @@ def read_pairs_csv(path: str) -> tuple[RawSample, CsvDiagnostics]:
 
 
 def write_pairs_csv(path: str, x, y, meta: dict | None = None) -> None:
-    rows = np.column_stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
-    write_csv(path, ("u", "v"), map(np.ndarray.tolist, rows), meta)
+    write_csv(path, ("u", "v"), np.column_stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]), meta)
 
 
 def write_grid_csv(grid: BandGrid, path: str) -> None:
@@ -178,7 +189,7 @@ def write_grid_csv(grid: BandGrid, path: str) -> None:
     rows = np.column_stack([a.ravel() for a in (uu, vv, grid.values, grid.lower, grid.upper)])
     meta = {"halfwidth": grid.halfwidth}
     meta.update({k: v for k, v in (grid.meta or {}).items() if k != "halfwidth"})
-    write_csv(path, GRID_COLUMNS, map(np.ndarray.tolist, rows), meta)
+    write_csv(path, GRID_COLUMNS, rows, meta)
 
 
 def read_grid_csv(path: str) -> BandGrid:

@@ -40,3 +40,35 @@ def local_linear_density(kern, t):
     weight = (m.a2 - m.a1 * t) / m.det
     out = np.where(inside, epanechnikov(t) * weight, 0.0)
     return float(out.item()) if out.ndim == 0 else out
+
+
+def _fmt(x):
+    return format(float(x), ".3f")
+
+
+def _heat_color(value):
+    t = min(max(float(value), 0.0), 1.0)
+    rgb = tuple(round(lo + t * (hi - lo)) for lo, hi in zip((247, 251, 255), (8, 48, 107)))
+    return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
+
+
+def heatmap_polygons(grid, x0=50, y0=30, w=400, h=400):
+    """The SVG heatmap of a ``BandGrid`` built cell by cell: one polygon per
+    lattice cell, filled by the mean of its four corners summed in a fixed
+    order, clamped to [0, 1] and rounded half to even on the colour ramp."""
+    px = x0 + w * grid.grid_u
+    py = y0 + h * (1.0 - grid.grid_v)
+    cells = []
+    for i in range(len(grid.grid_u) - 1):
+        for j in range(len(grid.grid_v) - 1):
+            corners = ((px[i], py[j]), (px[i + 1], py[j]), (px[i + 1], py[j + 1]), (px[i], py[j + 1]))
+            z = grid.values
+            value = 0.25 * (z[i, j] + z[i + 1, j] + z[i, j + 1] + z[i + 1, j + 1])
+            pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in corners)
+            cells.append(f'<polygon points="{pts}" fill="{_heat_color(value)}" stroke="none"/>')
+    return cells
+
+
+def polyline_points(ts, values, vmin, vspan, x0=520, y0=30, w=360, h=400):
+    """The ``points`` text of the diagonal panel's polyline, point by point."""
+    return " ".join(f"{_fmt(x0 + w * t)},{_fmt(y0 + h * (1.0 - (v - vmin) / vspan))}" for t, v in zip(ts, values))

@@ -2,16 +2,21 @@ import ast
 import csv
 import os
 import re
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import llcopula
 from llcopula.bands import BandGrid
 from llcopula.errors import ConfigError, InputError
 from llcopula.gridio import (
+    BLOCK_ROWS,
     CsvDiagnostics,
     atomic_write,
     read_grid_csv,
@@ -355,6 +360,54 @@ class TestWriteCsv:
         with pytest.raises(ConfigError, match="line break"):
             write_csv(str(tmp_path / "t.csv"), ("a", "b"), rows, meta)
         assert os.listdir(tmp_path) == []
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 1e-300, 1e16, 2.0**53 + 2, -1e22, 1.7976931348623157e308,
+                  0.1, 1 / 3, float("inf"), float("-inf"), float("nan")]
+
+
+class TestRowTemplate:
+    # A float array is written one "%.17g" template per row; each cell must
+    # read exactly as the per-cell path (_cell, format(x, ".17g")) writes it.
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+                      elements=st.floats() | st.sampled_from(SPECIAL_FLOATS)))
+    @example(np.array([SPECIAL_FLOATS]))
+    @example(np.array(SPECIAL_FLOATS)[:, None])
+    def test_template_rows_match_cells(self, table):
+        texts = []
+        for rows in (table, table.tolist()):
+            with tempfile.TemporaryDirectory() as tmp:
+                write_csv(os.path.join(tmp, "t.csv"), ["c"] * table.shape[1], rows, {"k": 1.5})
+                texts.append(Path(tmp, "t.csv").read_text())
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("m", [BLOCK_ROWS, 2 * BLOCK_ROWS + 1])
+    def test_blocks_of_rows_join_as_one_table(self, tmp_path, m):
+        table = np.random.default_rng(m).standard_normal((m, 3)) * 10.0 ** np.arange(-5, 10, 5)
+        for name, rows in (("a.csv", table), ("b.csv", table.tolist())):
+            write_csv(str(tmp_path / name), ("x", "y", "z"), rows)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(hnp.arrays(float, st.tuples(st.integers(2, 40), st.just(2)),
+                      elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_FLOATS[:10])))
+    def test_pairs_read_back_bitwise(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "p.csv")
+            write_pairs_csv(path, table[:, 0], table[:, 1])
+            sample, _ = read_pairs_csv(path)
+        assert np.column_stack([sample.x, sample.y]).tobytes() == table.tobytes()
+
+    def test_grid_reads_back_bitwise_with_special_values(self, tmp_path):
+        grid = make_band_grid(k=len(SPECIAL_FLOATS[:10]))
+        values = np.tile(SPECIAL_FLOATS[:10], (10, 1))
+        grid = BandGrid(grid.grid_u, grid.grid_v, values, values, values, halfwidth=0.0)
+        path = str(tmp_path / "g.csv")
+        write_grid_csv(grid, path)
+        back = read_grid_csv(path)
+        for name in ("grid_u", "grid_v", "values", "lower", "upper"):
+            assert getattr(back, name).tobytes() == getattr(grid, name).tobytes()
 
 
 class TestAtomicWrite:

@@ -5,12 +5,14 @@ each); the test checks only that it exits 0 and prints its table header.  The
 coverage study's loop also runs in full, as the paper's simulation check.
 The byte report runs its command set once and diffs a nudged copy, the
 benchmark pairs' summary is checked on made-up run records (no benchmark
-runs), and the README's library quickstart runs as written.
+runs), the CLI timing runs one tiny round, and the README's library quickstart
+runs as written.
 """
 
 import contextlib
 import importlib.util
 import io
+import json
 import os
 import re
 import subprocess
@@ -151,3 +153,21 @@ def test_readme_library_quickstart_runs():
     assert lines[1].startswith("ContainmentReport(fraction=")
     lower, value, upper = map(float, lines[0].split())
     assert lower < value < upper
+
+
+def test_cli_timing_runs_both_trees(tmp_path):
+    # One round at a tiny size with this tree on both sides: every command
+    # exits 0 and writes the same bytes on both sides, so the round is correct.
+    out = tmp_path / "timing.json"
+    timing = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cli_timing.py"), str(ROOT), str(ROOT),
+         "--n", "200", "--rounds", "1", "--grid", "5", "--out", str(out)],
+        capture_output=True, text=True, env=ENV, timeout=300,
+    )
+    assert timing.returncode == 0, timing.stderr
+    report = json.loads(out.read_text())
+    summary = report["summary"]["n=200"]
+    assert summary["all_correct"] and summary["failed"] == 0
+    assert [name for name in summary if name.endswith("_s")] == [
+        "sample_s", "estimate_s", "bands_s", "fit_s", "plot_s", "reproduce_s"]
+    assert summary["plot_s"]["pairs"] == 1 and len(report["runs"]["n=200"]) == 2
