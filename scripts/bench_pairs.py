@@ -34,8 +34,6 @@ import subprocess
 import sys
 from importlib.metadata import version
 
-METRICS = ("setup_s", "pass_s.p50", "pass_s.tail", "peak_rss_mb")
-
 
 def run_bench(tree: str, workload: str, seed: int, trace: bool = False) -> dict:
     """One ``bench/run.py`` run in ``tree``: its correctness counts and the

@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
 """Wall-clock time of the six CLI commands as fresh processes, two source trees alternated.
 
-    python3 scripts/cli_timing.py PARENT CHANGE [--n N ...] [--rounds R] [--grid G] \\
-        [--topic T] [--out PATH]
+    python3 scripts/cli_timing.py PARENT CHANGE [--n N ...] [--rounds R] [--out PATH]
 
 PARENT and CHANGE are two source trees; each command runs as
 ``python -m llcopula.cli`` with that tree's ``src`` on PYTHONPATH.  Per sample
 size N (default 10^3, 10^4 and 10^5) and round, each tree runs in its own
 directory, one after the other (the parent first in odd rounds, the change
-first in even ones), the chain ``sample`` (Gumbel 1.69, N pairs), ``estimate``,
-``bands`` and ``fit`` on that sample, ``plot`` of the bands with three
-overlays, and ``reproduce`` (Frank, N pairs).  Each command's time, from
+first in even ones), the chain ``sample`` (Gumbel 1.69, N pairs), ``estimate``
+and ``bands`` (101-node grid) and ``fit`` on that sample, ``plot`` of the bands
+with three overlays, and ``reproduce`` (Frank, N pairs).  Each command's time, from
 process start to exit, is one metric.  A run is correct when every command
 exits 0 and each output file is byte-identical to the other tree's in the same
 round.  The summary is ``bench_pairs.summarize``'s, with each command held to
 the bound that the parent's BENCHMARK.json sets for ``pass_s.p50``.  The report
-goes to BENCH_<topic>.json.
+goes to BENCH_cli_text.json unless ``--out`` names another path.
 """
 
 from __future__ import annotations
@@ -38,16 +37,17 @@ import bench_pairs  # noqa: E402
 
 COMMANDS = ("sample", "estimate", "bands", "fit", "plot", "reproduce")
 OVERLAYS = ("clayton=2", "frank=5", "gumbel=1.69")
+GRID = "101"
 
 
-def command_lines(n: int, grid: int) -> dict:
+def command_lines(n) -> dict:
     """Each command's arguments, with paths relative to the run directory."""
     data = ["--in", "sample.csv"]
     overlays = [arg for o in OVERLAYS for arg in ("--overlay", o)]
     return {
         "sample": ["sample", "--family", "gumbel", "--theta", "1.69", "--n", str(n), "--seed", "7", "--out", "sample.csv"],
-        "estimate": ["estimate", *data, "--grid", str(grid), "--out", "estimate.csv"],
-        "bands": ["bands", *data, "--grid", str(grid), "--out", "bands.csv"],
+        "estimate": ["estimate", *data, "--grid", GRID, "--out", "estimate.csv"],
+        "bands": ["bands", *data, "--grid", GRID, "--out", "bands.csv"],
         "fit": ["fit", *data, "--out", "fit.csv"],
         "plot": ["plot", "--in", "bands.csv", *overlays, "--out", "plot.svg"],
         "reproduce": ["reproduce", "--family", "frank", "--n", str(n), "--seed", "41", "--out", "table.csv"],
@@ -71,9 +71,9 @@ def run_chain(tree: str, directory: str, lines: dict) -> dict:
     return {"failed": failed, **record, "hashes": hashes}
 
 
-def run_rounds(trees: dict, n: int, grid: int, rounds: int, work: str) -> list[dict]:
+def run_rounds(trees: dict, n: int, rounds: int, work: str) -> list[dict]:
     """One run per tree and round, the parent first in odd rounds."""
-    lines = command_lines(n, grid)
+    lines = command_lines(n)
     records = []
     for rnd in range(1, rounds + 1):
         order = ("parent", "change") if rnd % 2 else ("change", "parent")
@@ -95,9 +95,7 @@ def main(argv=None) -> int:
     ap.add_argument("change")
     ap.add_argument("--n", type=int, action="append", help="sample size, repeatable (default 1000, 10000, 100000)")
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--grid", type=int, default=101)
-    ap.add_argument("--topic", default="cli_text")
-    ap.add_argument("--out", default=None, help="output path (default: BENCH_<topic>.json here)")
+    ap.add_argument("--out", default="BENCH_cli_text.json", help="output path")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be >= 1")
@@ -106,22 +104,21 @@ def main(argv=None) -> int:
     bound = bench_pairs.load_bounds(trees["parent"])["pass_s.p50"]
     bounds = {f"{cmd}_s": bound for cmd in COMMANDS}
     with tempfile.TemporaryDirectory() as work:
-        runs = {f"n={n}": run_rounds(trees, n, args.grid, args.rounds, work) for n in sizes}
+        runs = {f"n={n}": run_rounds(trees, n, args.rounds, work) for n in sizes}
     report = {
-        "topic": args.topic,
+        "topic": "cli_text",
         "command": "python -m llcopula.cli <command> per command, a fresh process each: "
-                   + "; ".join(" ".join(line) for line in command_lines("<n>", args.grid).values()),
+                   + "; ".join(" ".join(line) for line in command_lines("<n>").values()),
         "method": (f"{args.rounds} rounds per sample size; within a round each tree runs the chain in its own "
                    "directory, the parent first in odd rounds and the change first in even ones"),
         "machine": f"{os.cpu_count()} CPUs, Python {platform.python_version()}, numpy {version('numpy')}",
         "summary": {size: bench_pairs.summarize(r, bounds) for size, r in runs.items()},
         "runs": runs,
     }
-    out = args.out or f"BENCH_{args.topic}.json"
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 

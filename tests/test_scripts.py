@@ -93,12 +93,12 @@ def test_byte_report_runs_and_diffs(tmp_path):
 
 def test_bench_pairs_summary():
     pairs = _load_script("bench_pairs")
-    runs = [{"seed": 6, "side": "parent", "correct": True, "failed": 0, **dict.fromkeys(pairs.METRICS, 9.0)}]
+    bounds = pairs.load_bounds(str(ROOT))
+    assert set(bounds) == {"setup_s", "pass_s.p50", "pass_s.tail", "peak_rss_mb"}
+    runs = [{"seed": 6, "side": "parent", "correct": True, "failed": 0, **dict.fromkeys(bounds, 9.0)}]
     for seed, (p, c) in enumerate([(1.0, 0.5), (1.2, 0.6), (1.1, 1.3), (0.9, 0.4), (1.0, 0.5)], 1):
         for side, value in (("parent", p), ("change", c)):
-            runs.append({"seed": seed, "side": side, "correct": True, "failed": 0, **dict.fromkeys(pairs.METRICS, value)})
-    bounds = pairs.load_bounds(str(ROOT))
-    assert set(bounds) == set(pairs.METRICS)
+            runs.append({"seed": seed, "side": side, "correct": True, "failed": 0, **dict.fromkeys(bounds, value)})
     summary = pairs.summarize(runs, bounds)
     assert summary["all_correct"] and summary["failed"] == 0
     # Seed 6 ran on the parent side only, so it makes no pair.
@@ -125,19 +125,19 @@ def test_bench_pairs_marks_wide_parent_spread_unresolved():
     # that spread is unresolved, not unchanged, while one whose every run is
     # below every parent run is resolved.
     pairs = _load_script("bench_pairs")
-    bounds = dict.fromkeys(pairs.METRICS, 0.2)
+    bounds = dict.fromkeys(pairs.load_bounds(str(ROOT)), 0.2)
     parent = [1.0, 1.5, 1.2, 1.0, 1.5]
     for change, unresolved in (([0.9, 0.8, 0.7, 0.9, 0.6], False), ([1.1, 1.4, 1.2, 1.0, 1.3], True)):
         runs = [
-            {"seed": seed, "side": side, "correct": True, "failed": 0, **dict.fromkeys(pairs.METRICS, value)}
+            {"seed": seed, "side": side, "correct": True, "failed": 0, **dict.fromkeys(bounds, value)}
             for seed, pair in enumerate(zip(parent, change), 1)
             for side, value in zip(("parent", "change"), pair)
         ]
         summary = pairs.summarize(runs, bounds)
         assert summary["pass_s.p50"]["parent_q1_median_q3"] == [1.0, 1.2, 1.5]
-        assert all(summary[name]["unresolved"] is unresolved for name in pairs.METRICS)
+        assert all(summary[name]["unresolved"] is unresolved for name in bounds)
     # Under a bound wider than the spread, the second change is resolved.
-    assert not pairs.summarize(runs, dict.fromkeys(pairs.METRICS, 0.5))["setup_s"]["unresolved"]
+    assert not pairs.summarize(runs, dict.fromkeys(bounds, 0.5))["setup_s"]["unresolved"]
 
 
 def test_readme_library_quickstart_runs():
@@ -161,7 +161,7 @@ def test_cli_timing_runs_both_trees(tmp_path):
     out = tmp_path / "timing.json"
     timing = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "cli_timing.py"), str(ROOT), str(ROOT),
-         "--n", "200", "--rounds", "1", "--grid", "5", "--out", str(out)],
+         "--n", "200", "--rounds", "1", "--out", str(out)],
         capture_output=True, text=True, env=ENV, timeout=300,
     )
     assert timing.returncode == 0, timing.stderr
