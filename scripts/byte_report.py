@@ -24,8 +24,6 @@ import re
 import sys
 from pathlib import Path
 
-from llcopula.cli import main as cli_main
-
 SAMPLES = (("clayton", "2"), ("frank", "5"), ("gumbel", "1.69"))
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -50,6 +48,8 @@ def commands():
 
 
 def run(directory: Path) -> None:
+    from llcopula.cli import main as cli_main  # here, so that ``diff`` needs no llcopula
+
     directory.mkdir(parents=True, exist_ok=True)
     home = os.getcwd()
     os.chdir(directory)

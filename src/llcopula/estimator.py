@@ -79,7 +79,7 @@ class BandwidthPolicy:
         return float(min(max(self.h_n * factor, self.h_min), self.h_max))
 
 
-# Entries per batched local_linear_cdf call and per axis in a chunk of points (2^11-2^15 tried).
+# Entries per batched local_linear_cdf call in ``_factor_rows`` (2^11-2^15 tried).
 BATCH = 2**13
 
 
@@ -121,9 +121,9 @@ def _factor_rows(kerns: list, col: SortedColumn, lattice):
 def ll_copula_estimate(sample: PseudoSample, u, v, policy: BandwidthPolicy):
     """Smoothed copula estimate at paired coordinates; clipped into [0, 1].
 
-    Every point's windows come from one search per axis; their values are
-    evaluated in chunks of max(1, BATCH // n) points, which hold at most
-    max(BATCH, n) entries per axis.  Each estimate is a window sum over the
+    Each distinct coordinate's windows come from one search per axis; a
+    point's two windows are evaluated on their slices, one
+    ``local_linear_cdf`` call each.  Each estimate is a window sum over the
     sorted columns, in O(n) time for the count and O(window) for the rest.
     Clipping matters only within float dust of the boundary, where negative
     local-linear weights can push the raw sum marginally outside.
@@ -137,25 +137,19 @@ def ll_copula_estimate(sample: PseudoSample, u, v, policy: BandwidthPolicy):
     if not ((coords >= 0) & (coords <= 1)).all():  # NaN fails both compares
         raise ConfigError("evaluation points must lie in the unit square")
     kerns = [LocalKernel.at(c, policy.bandwidth(c)) for c in coords]
-    ku, kv = [kerns[k] for k in which[: u.size]], [kerns[k] for k in which[u.size :]]
     su, sv = sample.sorted_columns
-    lu, lv = _lattice(ku, su), _lattice(kv, sv)
-    windows = np.column_stack(lu[4:] + lv[4:]).tolist()  # per point: ua, ub, va, vb
+    u_windows, v_windows = (np.column_stack(_lattice(kerns, col)[4:]).tolist() for col in (su, sv))
     v_rank = sv.rank[su.order]  # v-rank of the point at each u-sorted position
     flat = np.empty(u.size)
-    step = max(1, BATCH // sample.n)
-    for i0 in range(0, u.size, step):
-        part = slice(i0, i0 + step)
-        us, fu_all = _factor_rows(ku[part], su, [x[part] for x in lu])
-        vs, fv_all = _factor_rows(kv[part], sv, [x[part] for x in lv])
-        for i, s, t in zip(range(i0, u.size), us.tolist(), vs.tolist()):
-            ua, ub, va, vb = windows[i]
-            fu, fv = fu_all[s : s + ub - ua], fv_all[t : t + vb - va]
-            # The v-factor at the u-window's points: 1 before va, fv on [va, vb), 0 from vb.
-            at = np.clip(v_rank[ua:ub].astype(np.intp) - (va - 1), 0, vb - va + 1)
-            on_u = np.sum(fu * np.concatenate(([1.0], fv, [0.0]))[at])
-            on_v = np.sum(np.where(su.rank[sv.order[va:vb]] < ua, fv, 0.0))
-            flat[i] = (np.count_nonzero(v_rank[:ua] < va) + on_u + on_v) / sample.n
+    for i, (p, q) in enumerate(zip(which[: u.size].tolist(), which[u.size :].tolist())):
+        (ua, ub), (va, vb), ku, kv = u_windows[p], v_windows[q], kerns[p], kerns[q]
+        fu = local_linear_cdf(ku, (ku.u - su.values[ua:ub]) / ku.h)
+        fv = local_linear_cdf(kv, (kv.u - sv.values[va:vb]) / kv.h)
+        # The v-factor at the u-window's points: 1 before va, fv on [va, vb), 0 from vb.
+        at = np.clip(v_rank[ua:ub].astype(np.intp) - (va - 1), 0, vb - va + 1)
+        on_u = np.sum(fu * np.concatenate(([1.0], fv, [0.0]))[at])
+        on_v = np.sum(np.where(su.rank[sv.order[va:vb]] < ua, fv, 0.0))
+        flat[i] = (np.count_nonzero(v_rank[:ua] < va) + on_u + on_v) / sample.n
     return unwrap(np.clip(flat.reshape(u.shape), 0.0, 1.0), scalar)
 
 

@@ -12,15 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .families import (
-    CLAYTON,
-    FRANK,
-    GUMBEL,
-    INDEPENDENCE,
-    CopulaModel,
-    density,
-    theta_from_tau,
-)
+from .families import CLAYTON, FRANK, GUMBEL, CopulaModel, density, theta_from_tau
 from .kernels import SortedColumn
 from .margins import PseudoSample
 
@@ -128,22 +120,16 @@ class FitReport:
     selected: str
 
 
-def fit_families(sample: PseudoSample, families=DEFAULT_FAMILIES) -> FitReport:
-    """Tau-inversion estimates and likelihood ranking for the given families.
+def fit_families(sample: PseudoSample) -> FitReport:
+    """Tau-inversion estimates and likelihood ranking for ``DEFAULT_FAMILIES``.
 
     Rows are sorted by log-likelihood, best first; families whose tau range
     does not contain the empirical tau are marked inapplicable and sink to
     the bottom.  Raises when no family is applicable.
     """
-    families = tuple(str(f).lower() for f in families)
-    if not families:
-        raise ConfigError("need at least one family to fit")
     tau_hat = empirical_kendall_tau(sample)
     rows = []
-    for family in families:
-        if family == INDEPENDENCE:
-            rows.append(FitRow(INDEPENDENCE, None, 0.0, True))
-            continue
+    for family in DEFAULT_FAMILIES:
         try:
             theta = theta_from_tau(family, tau_hat)
         except ConfigError as exc:

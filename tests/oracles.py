@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from llcopula.families import cdf
+from llcopula.kernels import LocalKernel
+
 
 def empirical_copula(sample, u, v):
     """Unsmoothed indicator-average estimate (right-continuous step function).
@@ -40,6 +43,28 @@ def local_linear_density(kern, t):
     weight = (m.a2 - m.a1 * t) / m.det
     out = np.where(inside, epanechnikov(t) * weight, 0.0)
     return float(out.item()) if out.ndim == 0 else out
+
+
+def expected_estimate(model, policy, coords, nodes=48):
+    """E C_hat on ``coords`` x ``coords`` for a sample of ``model`` with its
+    true (uniform) margins, as a (G, G) array: the integral of
+    k_u(a) k_v(b) C(u - h_u a, v - h_v b) over the two kernel supports.
+
+    Each node's kernel is ``LocalKernel.at(c, policy.bandwidth(c))``; the
+    integral is Gauss-Legendre with ``nodes`` points on each support [lo, hi].
+    The kernel is a cubic there, so the only error is C's smoothness.
+    """
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    points, weights = [], []
+    for c in np.asarray(coords, dtype=float):
+        kern = LocalKernel.at(c, policy.bandwidth(c))
+        lo, hi = kern.moments.lo, kern.moments.hi
+        a = lo + 0.5 * (hi - lo) * (t + 1.0)
+        points.append(np.clip(c - kern.h * a, 0.0, 1.0))  # in [0, 1] up to rounding
+        weights.append(0.5 * (hi - lo) * w * local_linear_density(kern, a))
+    points, weights = np.array(points), np.array(weights)
+    values = cdf(model, points[:, None, :, None], points[None, :, None, :])
+    return np.einsum("ia,jb,ijab->ij", weights, weights, values)
 
 
 def _fmt(x):

@@ -162,7 +162,7 @@ def test_gate_06_oracle_equivalence():
 
 
 def test_gate_07_bias_decay_on_independent_data():
-    # Independent data, centre point, default policy at h0 = 1/log n and h0/2.
+    # Independent data, centre point, default policy at h0 = 1/log n, h0/2 and h0/4.
     # The leading bias term (h^2/2) mu_2(K) (C_uu + C_vv) vanishes for
     # Pi(u, v) = uv.  Under independence the pairing of u-ranks with v-ranks
     # is a uniformly random permutation, so E[C_hat] is the estimator averaged
@@ -178,7 +178,7 @@ def test_gate_07_bias_decay_on_independent_data():
     h0 = 1.0 / np.log(n)
     ok = True
     detail = []
-    for label, h in (("h0", h0), ("h0/2", h0 / 2.0)):
+    for label, h in (("h0", h0), ("h0/2", h0 / 2.0), ("h0/4", h0 / 4.0)):
         pol = BandwidthPolicy.from_sample_size(n, h_n=h)
         exact = np.mean([
             ll_copula_estimate(PseudoSample(ranks.u, np.roll(ranks.v, k)), 0.5, 0.5, pol)

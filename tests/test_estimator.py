@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llcopula import estimator, kernels
-from llcopula.bands import BandGrid
+from llcopula.bands import BandGrid, rate_rn
 from llcopula.errors import ConfigError
 from llcopula.estimator import (
     BandwidthPolicy,
@@ -26,7 +26,7 @@ from llcopula.fitting import empirical_kendall_tau
 from llcopula.kernels import LocalKernel, SortedColumn, local_linear_cdf
 from llcopula.margins import PseudoSample, RawSample, to_pseudo_ranks, to_pseudo_smoothed
 from llcopula.sampling import SeededStream, sample_copula
-from oracles import empirical_copula
+from oracles import empirical_copula, expected_estimate
 
 
 def make_sample(model, n, seed, rank=True):
@@ -575,44 +575,135 @@ class TestShrinkageBoundaryBehavior:
         assert np.abs(ge.values - emp)[border].max() <= 1.0 / n + pol.h_min
 
 
-class TestBiasDecay:
-    def test_independence_bias_bounded_by_h_squared(self):
-        # With product-form data the center bias is identically zero, so the
-        # bound K h^2 + 3 SE holds with slack at every bandwidth.
-        n, reps = 1000, 200
-        seeds = [s.seed for s in SeededStream(314).substreams(reps)]
-        truth = 0.25
-        h0 = 1.0 / np.log(n)
-        for h in (h0, h0 / 2, h0 / 4):
-            pol = BandwidthPolicy.from_sample_size(n, h_n=h)
-            vals = np.array(
-                [
-                    ll_copula_estimate(
-                        make_sample(CopulaModel("independence"), n, sd), 0.5, 0.5, pol
-                    )
-                    for sd in seeds
-                ]
-            )
-            dev = abs(vals.mean() - truth)
-            se = vals.std(ddof=1) / np.sqrt(reps)
-            assert dev <= 0.5 * h**2 + 3.0 * se
+# The exact expectation (``expected_estimate``) on a 21-node lattice, edges and
+# corners included, at a constant bandwidth h: the local-linear bias is
+# O(h^2) where C is smooth, and the kernel's first moment is zero on every
+# support, so the boundary rows keep that rate unless C itself is not smooth.
+LATTICE = np.linspace(0.0, 1.0, 21)
+UU, VV = np.meshgrid(LATTICE, LATTICE, indexing="ij")
+HALVINGS = (0.2, 0.1, 0.05, 0.025, 0.0125)
 
+
+def constant(h):
+    return BandwidthPolicy(h_n=h, h_min=h, h_max=h)
+
+
+def exact_bias(model, policy, coords=LATTICE):
+    uu, vv = np.meshgrid(coords, coords, indexing="ij")
+    return expected_estimate(model, policy, coords) - cdf(model, uu, vv)
+
+
+class TestBiasDecay:
     def test_clayton_bias_ratio_near_four(self):
-        # Nonzero curvature makes the center bias genuinely quadratic in h;
-        # halving the bandwidth shrinks it by a factor close to four.
-        n, reps = 2000, 400
+        # At the centre, halving h divides the bias by nearly four, and
+        # bias / h^2 tends to the leading term (mu_2 / 2)(C_uu + C_vv) with
+        # mu_2 = 1/5 (Chen & Huang 2007), here -0.2222.
         model = CopulaModel("clayton", 2.0)
-        truth = cdf(model, 0.5, 0.5)
-        seeds = [s.seed for s in SeededStream(20260810).substreams(reps)]
-        biases = []
-        for h in (0.3, 0.15):
-            pol = BandwidthPolicy(h_n=h, h_min=h, h_max=h)
-            vals = np.array(
-                [
-                    ll_copula_estimate(make_sample(model, n, sd, rank=False), 0.5, 0.5, pol)
-                    for sd in seeds
-                ]
-            )
-            biases.append(vals.mean() - truth)
-        ratio = abs(biases[0]) / abs(biases[1])
-        assert 2.5 <= ratio <= 6.0
+        hs = (0.3, 0.15, 0.075)
+        bias = np.array([exact_bias(model, constant(h), [0.5])[0, 0] for h in hs])
+        assert bias == pytest.approx([-0.018622, -0.0049035, -0.0012435], rel=1e-4)
+        assert bias[:-1] / bias[1:] == pytest.approx([3.80, 3.94], abs=0.005)
+        d = 1e-3
+        c_uu = (cdf(model, 0.5 + d, 0.5) - 2.0 * cdf(model, 0.5, 0.5) + cdf(model, 0.5 - d, 0.5)) / d**2
+        lead = 0.1 * 2.0 * c_uu  # C_uu = C_vv at the centre of an exchangeable copula
+        assert lead == pytest.approx(-0.2222, abs=1e-4)
+        gaps = np.abs(bias / np.square(hs) - lead)  # the next term, O(h^2) in bias / h^2
+        assert gaps[-1] < 0.0015 and (gaps[:-1] / gaps[1:] > 3.5).all()
+
+    @pytest.mark.parametrize("policy", [BandwidthPolicy.from_sample_size(1000), constant(0.1)], ids=["default", "constant"])
+    def test_independence_bias_is_zero(self, policy):
+        # E C_hat = uv at every node, edges included: each kernel has unit
+        # mass and zero mean on its support, under any policy.
+        bias = exact_bias(CopulaModel("independence"), policy)
+        assert np.abs(bias).max() <= 1e-13
+
+    @pytest.mark.parametrize("model", [CopulaModel("clayton", 2.0), CopulaModel("frank", 5.0), CopulaModel("gumbel", 1.69)])
+    def test_quadrature_converged(self, model):
+        # 48 and 96 nodes agree at the corners too, where C is not smooth.
+        coords, h = [0.0, 0.5, 1.0], 0.0125
+        coarse, fine = (expected_estimate(model, constant(h), coords, nodes=k) for k in (48, 96))
+        assert np.abs(coarse - fine).max() <= 4e-7 * h**2
+
+    def test_frank_rate_holds_at_edge_nodes(self):
+        model = CopulaModel("frank", 5.0)
+        biases = [exact_bias(model, constant(h)) for h in HALVINGS]
+        scaled = [np.abs(b).max() / h**2 for b, h in zip(biases, HALVINGS)]
+        assert scaled == pytest.approx([0.238, 0.247, 0.249, 0.250, 0.250], abs=1e-3)
+        assert max(scaled) <= 0.26
+        assert all(np.abs(b).argmax() == UU.size // 2 for b in biases)  # the centre
+        ratios = []
+        for big, small in zip(biases, biases[1:]):
+            seen = (np.abs(big) > 1e-6) & (np.abs(small) > 1e-6)
+            ratios.append(np.median(big[seen] / small[seen]))
+        gaps = np.abs(np.array(ratios) - 4.0)
+        assert (np.diff(gaps) < 0).all() and gaps[-1] < 0.002, ratios
+
+    def test_clayton_rate_fails_at_the_lower_corner(self):
+        # Lower-tail dependence makes C's second derivatives unbounded at
+        # (0, 0): there the bias is O(h), not O(h^2).
+        model = CopulaModel("clayton", 2.0)
+        hs = HALVINGS[-2:]
+        biases = [exact_bias(model, constant(h)) for h in hs]
+        assert [abs(b[0, 0]) / h**2 for b, h in zip(biases, hs)] == pytest.approx([2.76, 5.52], abs=0.01)
+        away = np.hypot(UU, VV) > 0.15 + 1e-9
+        assert max(np.abs(b[away]).max() / h**2 for b, h in zip(biases, hs)) <= 0.77
+
+    def test_gumbel_rate_fails_at_the_upper_corner_and_edges(self):
+        # Upper-tail dependence does the same at (1, 1), and the rate also
+        # fails along the edges: at (0.15, 0) |bias| / h^2 grows as h halves.
+        model = CopulaModel("gumbel", 1.69)
+        hs = HALVINGS[-2:]
+        biases = [exact_bias(model, constant(h)) for h in hs]
+        assert [abs(b[-1, -1]) / h**2 for b, h in zip(biases, hs)] == pytest.approx([1.75, 3.49], abs=0.01)
+        edge = exact_bias(model, constant(hs[-1] / 2), [0.15, 0.0])[0, 1]
+        assert [abs(biases[-1][3, 0]) / hs[-1] ** 2, abs(edge) / (hs[-1] / 2) ** 2] == pytest.approx([0.816, 1.409], abs=1e-3)
+        inside = (UU > 0) & (UU < 1) & (VV > 0) & (VV < 1) & (np.hypot(1 - UU, 1 - VV) > 0.15 + 1e-9)
+        assert max(np.abs(b[inside]).max() / h**2 for b, h in zip(biases, hs)) <= 0.56
+
+    @pytest.mark.parametrize(
+        "model, scaled",
+        [
+            (CopulaModel("clayton", 2.0), [0.0371, 0.0618, 0.1195]),
+            (CopulaModel("frank", 5.0), [0.0416, 0.0694, 0.1342]),
+            (CopulaModel("gumbel", 1.69), [0.0264, 0.0440, 0.0850]),
+        ],
+    )
+    def test_default_policy_scaled_bias(self, model, scaled):
+        # R_n sup |bias| grows with n: h_n = 1/log n shrinks more slowly than
+        # R_n grows.  The sup sits at the centre at every n; at the Clayton
+        # corner the shrinkage moves h to h_min and the bias all but vanishes.
+        ns = (10**3, 10**4, 10**5)
+        biases = [exact_bias(model, BandwidthPolicy.from_sample_size(n)) for n in ns]
+        assert [rate_rn(n) * np.abs(b).max() for n, b in zip(ns, biases)] == pytest.approx(scaled, abs=1e-3)
+        assert all(np.abs(b).argmax() == UU.size // 2 for b in biases)
+        if model.family == "clayton":
+            corner = [rate_rn(n) * abs(b[0, 0]) for n, b in zip(ns, biases)]
+            assert corner == pytest.approx([7.7e-3, 3.0e-3, 1.1e-3], abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "model, scaled",
+    [
+        (CopulaModel("clayton", 100.0), [1.821, 3.640]),
+        (CopulaModel("clayton", 20.0), [0.905, 1.876]),
+        (CopulaModel("gumbel", 10.0), [0.687, 1.226]),
+        (CopulaModel("frank", 50.0), [1.041, 1.542]),
+    ],
+)
+def test_strong_dependence_outgrows_the_default_band(model, scaled):
+    # R_n sup |bias| on the 19 x 19 interior under the default policy at
+    # n = 10^5 and 10^6 (README, "Where the default band fails").  Clayton 100
+    # at 10^6 exceeds 3, the largest A_c, so no default band covers it.
+    interior = LATTICE[1:-1]
+    ns = (10**5, 10**6)
+    got = [rate_rn(n) * np.abs(exact_bias(model, BandwidthPolicy.from_sample_size(n), interior)).max() for n in ns]
+    assert got == pytest.approx(scaled, abs=1e-3)
+    if model == CopulaModel("clayton", 100.0):
+        assert got[-1] > 3.0
+        # An undersmoothed --hn is the remedy: 1/(4 log n) reads 0.587, 1/(8 log n) 0.168.
+        n = 10**6
+        under = [
+            rate_rn(n) * np.abs(exact_bias(model, BandwidthPolicy.from_sample_size(n, h_n=1.0 / (k * math.log(n))), interior)).max()
+            for k in (4, 8)
+        ]
+        assert under == pytest.approx([0.587, 0.168], abs=1e-3)

@@ -119,7 +119,7 @@ class TestFitFamilies:
         assert lls == sorted(lls, reverse=True)
         assert report.selected == report.rows[0].family
         for row in report.rows:
-            if row.applicable and row.family != "independence":
+            if row.applicable:
                 back = tau_from_theta(CopulaModel(row.family, row.theta))
                 assert back == pytest.approx(report.tau_hat, abs=1e-8)
 
@@ -139,19 +139,10 @@ class TestFitFamilies:
         assert report.selected == "frank"
 
     def test_comonotone_boundary(self):
+        # Empirical tau 1 lies outside every default family's open tau range.
         t = np.linspace(0.05, 0.95, 40)
-        s = pseudo(t, t)
-        report = fit_families(s, families=("clayton", "gumbel", "independence"))
-        by_family = {r.family: r for r in report.rows}
-        assert not by_family["clayton"].applicable
-        assert not by_family["gumbel"].applicable
-        assert report.selected == "independence"
-        with pytest.raises(ConfigError):
-            fit_families(s, families=("clayton", "gumbel"))
-
-    def test_empty_family_list_rejected(self):
-        with pytest.raises(ConfigError):
-            fit_families(pseudo([0.1, 0.9], [0.2, 0.8]), families=())
+        with pytest.raises(ConfigError, match="no applicable family for empirical tau 1.0000"):
+            fit_families(pseudo(t, t))
 
     def test_likelihood_peaks_near_inverted_theta(self):
         # coarse sweep around the tau-inversion estimate on self-generated data
