@@ -87,7 +87,7 @@ def _lattice(kerns: list, col: SortedColumn):
     """Each kernel's u, h, support [lo, hi] and window [a, b) on the sorted
     column, outside which its factor K((u - X)/h) is 1 (before) or 0 (after):
     six arrays, the windows from one vectorised search."""
-    u, h, lo, hi = np.array([(k.u, k.h, k.moments.lo, k.moments.hi) for k in kerns]).T
+    u, h, lo, hi = np.array([(k.u, k.h, k.moments.lo, k.moments.hi) for k in kerns]).reshape(-1, 4).T
     return (u, h, lo, hi, *col.window(u, h, lo, hi))
 
 

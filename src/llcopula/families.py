@@ -7,10 +7,11 @@ arguments through one helper (``_unit_args``), and ``cdf`` applies the
 uniform-margin boundary identities once around each family's interior
 formula.  Frank quantities are evaluated through exp/expm1 groupings chosen
 so that no catastrophic cancellation occurs anywhere on the supported
-parameter range; Clayton's u^-theta + v^-theta - 1 is a sum of expm1 terms
-near theta = 0, and Clayton and Gumbel work in log space where their powers
-would overflow.  Frank's tau and the Debye function behind it come from two
-series to a few ulps, and tau is inverted by bisection to 1 ulp; numpy alone.
+parameter range.  Clayton's and Gumbel's CDF and density each build on one
+log-space terms helper per family, from min(u, v) and a once-rounded log of a
+ratio of the arguments, so no power overflows and no terms of size
+theta |log u| cancel.  Frank's tau and the Debye function behind it come from
+two series to a few ulps, and tau is inverted by bisection to 1 ulp; numpy alone.
 """
 
 from __future__ import annotations
@@ -77,14 +78,13 @@ def _unit_args(a, b, names, strict):
     ``ConfigError`` names the first that does not."""
     pair = [np.asarray(a, dtype=float), np.asarray(b, dtype=float)]
     for arr, name, strict_one in zip(pair, names, strict):
-        bad = (arr < 0.0) | (arr > 1.0) | ~np.isfinite(arr)
-        if strict_one:
-            bad |= (arr == 0.0) | (arr == 1.0)
-        if bad.any():
+        # NaN fails both compares, so no isfinite pass is needed.
+        inside = (arr > 0.0) & (arr < 1.0) if strict_one else (arr >= 0.0) & (arr <= 1.0)
+        if not inside.all():
             kind = "strictly inside" if strict_one else "in"
             raise ConfigError(f"{name} must lie {kind} [0.0, 1.0]")
     a, b = np.broadcast_arrays(*pair)
-    return np.atleast_1d(a).astype(float), np.atleast_1d(b).astype(float), a.ndim == 0
+    return np.atleast_1d(a), np.atleast_1d(b), a.ndim == 0
 
 
 def _log1mexp(a):
@@ -110,21 +110,20 @@ def _frank_denom(theta, u, v):
     )
 
 
-def _clayton_log_sum(theta, u, v):
-    """L = log(u^-theta + v^-theta - 1) at interior u, v, with a = -theta log u,
-    b = -theta log v.  Where max(a, b) < 1 it is log1p(expm1(a) + expm1(b)), a
-    sum of nonnegative terms that does not cancel as theta -> 0; elsewhere the
-    larger power is factored out, so nothing overflows."""
-    a = -theta * np.log(u)
-    b = -theta * np.log(v)
-    m = np.maximum(a, b)
-    with np.errstate(over="ignore"):
-        summed = np.log1p(np.expm1(a) + np.expm1(b))
-    return np.where(m < 1.0, summed, m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m)))
+def _clayton_terms(theta, u, v):
+    """(lo, log hi, theta log(lo/hi), log1p(g)) at interior u, v, lo = min(u, v),
+    hi = max(u, v): u^-theta + v^-theta - 1 = lo^-theta (1 + g) with
+    g = (lo/hi)^theta (1 - hi^theta) in [0, 1).  log(lo/hi) is rounded once and
+    no power can overflow, so nothing of size theta (|log u| + |log v|) cancels."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    log_hi = np.log(hi)
+    t_log_ratio = theta * np.log(lo / hi)
+    return lo, log_hi, t_log_ratio, np.log1p(np.exp(t_log_ratio) * -np.expm1(theta * log_hi))
 
 
 def _clayton_cdf(theta, u, v):
-    return np.exp(-_clayton_log_sum(theta, u, v) / theta)
+    lo, _, _, log1p_g = _clayton_terms(theta, u, v)
+    return lo * np.exp(-log1p_g / theta)
 
 
 def _frank_cdf(theta, u, v):
@@ -145,13 +144,6 @@ def _frank_cdf(theta, u, v):
     return c
 
 
-def _gumbel_cdf(theta, u, v):
-    x, y = -np.log(u), -np.log(v)
-    # s = (x^theta + y^theta)^(1/theta) without overflow: factor out max(x, y).
-    big, small = np.maximum(x, y), np.minimum(x, y)
-    return np.exp(-big * np.exp(np.log1p((small / big) ** theta) / theta))
-
-
 def _gumbel_terms(theta, u, v):
     """(min(x, y), m, |y - x|, log r, t, d) at interior u, v: x = -log u, y = -log v,
     m = max(x, y), r = min(x, y)/m, t = log1p(r^theta)/theta, d = s - m = m expm1(t).
@@ -168,6 +160,10 @@ def _gumbel_terms(theta, u, v):
         log_r = np.where(q < 0.5, np.log1p(-q), np.log(small / m))
         t = np.log1p(np.exp(theta * log_r)) / theta
     return small, m, gap, log_r, t, m * np.expm1(t)
+
+
+def _gumbel_cdf(theta, u, v):
+    return np.minimum(u, v) * np.exp(-_gumbel_terms(theta, u, v)[-1])  # e^-s = lo e^-d
 
 
 def cdf(model: CopulaModel, u, v):
@@ -196,12 +192,8 @@ def density(model: CopulaModel, u, v):
     if model.family == INDEPENDENCE:
         out = np.ones_like(u)
     elif model.family == CLAYTON:
-        log_c = (
-            np.log1p(theta)
-            - (theta + 1.0) * (np.log(u) + np.log(v))
-            - (2.0 + 1.0 / theta) * _clayton_log_sum(theta, u, v)
-        )
-        out = np.exp(log_c)
+        _, log_hi, t_log_ratio, log1p_g = _clayton_terms(theta, u, v)
+        out = np.exp(np.log1p(theta) - log_hi + t_log_ratio - (2.0 + 1.0 / theta) * log1p_g)
     elif model.family == FRANK:
         n = _frank_denom(theta, u, v)
         log_c = (

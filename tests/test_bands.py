@@ -187,9 +187,3 @@ class TestCoverageReplicates:
     def test_nominal_coverage(self):
         rate = self._full_containment_rate(lambda n: band_halfwidth(BandParameters(n=n)))
         assert rate >= 0.99
-
-    def test_inner_band_fails(self):
-        rate = self._full_containment_rate(
-            lambda n: shrunken_halfwidth(BandParameters(n=n, epsilon=0.99))
-        )
-        assert rate < 0.5

@@ -455,6 +455,12 @@ class TestPointEstimate:
         vals = ll_copula_estimate(ps, u, v, pol)
         assert (vals >= 0.0).all() and (vals <= 1.0).all()
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_no_points_give_an_empty_array(self, shape):
+        ps = make_sample(CopulaModel("clayton", 2.0), 50, 1)
+        got = ll_copula_estimate(ps, np.empty(shape), np.empty(shape), BandwidthPolicy.from_sample_size(50))
+        assert isinstance(got, np.ndarray) and got.shape == shape
+
     def test_rejects_bad_inputs(self):
         ps = make_sample(CopulaModel("independence"), 50, 1)
         pol = BandwidthPolicy.from_sample_size(50)
@@ -679,6 +685,27 @@ class TestBiasDecay:
         if model.family == "clayton":
             corner = [rate_rn(n) * abs(b[0, 0]) for n, b in zip(ns, biases)]
             assert corner == pytest.approx([7.7e-3, 3.0e-3, 1.1e-3], abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "model, scaled",
+        [(CopulaModel("clayton", 2.0), 0.0538), (CopulaModel("frank", 5.0), 0.0265), (CopulaModel("gumbel", 1.69), 0.0848)],
+    )
+    def test_joint_bandwidth_moves_the_expectation_little(self, model, scaled):
+        # R_n sup |E_axis - E_joint| at n = 10^5 (README, step 2), against a
+        # default half-width of 3 in R_n units.  Under the clamp the paper's
+        # joint h(u, v) is max(h(u), h(v)), so each node is read off the
+        # constant-h expectation over the coordinates whose h is at most its own.
+        n = 10**5
+        pol = BandwidthPolicy.from_sample_size(n)
+        h = np.array([pol.bandwidth(c) for c in LATTICE])
+        assert all(joint_bandwidth(u, v, pol) == max(hu, hv) for u, hu in zip(LATTICE, h) for v, hv in zip(LATTICE, h))
+        joint = np.empty((h.size, h.size))
+        for x in np.unique(h):
+            below = np.flatnonzero(h <= x)
+            rows, cols = np.nonzero(np.maximum.outer(h[below], h[below]) == x)
+            joint[below[rows], below[cols]] = expected_estimate(model, constant(x), LATTICE[below])[rows, cols]
+        gap = rate_rn(n) * np.abs(expected_estimate(model, pol, LATTICE) - joint).max()
+        assert gap == pytest.approx(scaled, abs=1e-4)
 
 
 @pytest.mark.parametrize(

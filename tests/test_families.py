@@ -214,11 +214,34 @@ class TestCdf:
         assert (np.abs(got - ref) / ref <= bound).all()
 
     def test_clayton_matches_mpmath_table(self):
-        # C = exp(-L/theta) carries L's relative rounding times |log C|, so the
-        # bound is per unit of 1 + |log C|.  u^-theta + v^-theta - 1 summed as
-        # written was off by 4.2e7 ulps per unit (2e-8 relative) at theta = 1e-8.
+        # C = lo exp(-log1p(g)/theta) carries the exponent's relative rounding
+        # times |log C|, so the bound is per unit of 1 + |log C|; the worst row
+        # reads 0.52.  u^-theta + v^-theta - 1 summed as written was off by
+        # 4.2e7 ulps per unit (2e-8 relative) at theta = 1e-8, and a two-regime
+        # log-sum by 422 ulps (0.90 per unit) at theta = 1e-4, u = 1e-300, v = 0.5.
         _, _, _, ref, ulps = clayton_table_ulps(cdf, 3)
-        assert (ulps <= 2.0 * (1.0 + np.abs(np.log(ref)))).all()
+        assert (ulps <= 1.0 + np.abs(np.log(ref))).all()
+
+    def test_gumbel_near_the_diagonal_matches_decimal(self):
+        # e^-s at 40 digits, s = m (1 + r^theta)^(1/theta) with m = max(x, y) and
+        # r = min(x, y)/m, at the table's points whose C is a normal double
+        # (188 of 195).  The worst row reads 0.54 ulps per unit of 1 + |log C|;
+        # exp(-big (1 + r^theta)^(1/theta)) read 0.71 (433 ulps at worst).
+        theta, u, v = np.array(GUMBEL_NEAR_DIAGONAL_TABLE)[:, :3].T
+        got = np.array([cdf(CopulaModel("gumbel", t), a, b) for t, a, b in zip(theta, u, v)])
+        dec = decimal.Decimal
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            ref = []
+            for t, a, b in zip(theta, u, v):
+                t, x, y = dec(t), -dec(a).ln(), -dec(b).ln()
+                m = max(x, y)
+                ref.append(float((-m * ((1 + (t * (min(x, y) / m).ln()).exp()).ln() / t).exp()).exp()))
+        ref = np.array(ref)
+        normal = ref >= np.finfo(float).tiny
+        assert normal.sum() == 188
+        ulps = np.abs(got - ref)[normal] / ref[normal] / np.finfo(float).eps
+        assert (ulps <= 1.0 + np.abs(np.log(ref[normal]))).all()
 
     def test_frank_never_negative(self):
         edges = np.array([0.0, 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6, 1 - 1e-12, 1.0])
@@ -378,11 +401,19 @@ class TestDensity:
         assert np.max(np.abs(got - ref) / ref) <= 1e-14
 
     def test_clayton_matches_mpmath_table(self):
-        # Per unit of S = 1 + (theta + 1)(|log u| + |log v|), the size of the
-        # terms that sum to log c: the rounding of theta log u alone is S ulps.
-        # Near theta = 0 they cancel to about theta S; the old log-sum, which
-        # cancelled too, was off by 6e7 ulps per unit of S at theta = 1e-8.
+        # log c = log1p(theta) - log hi + theta log(lo/hi) - (2 + 1/theta) log1p(g),
+        # so the bound is per unit of S' = 1 + |log hi| + theta |log(lo/hi)|
+        # + (2 + 1/theta) log1p(g), the size of those terms (worst row 2.08).
+        # A form in -(theta + 1)(log u + log v), whose terms of size
+        # S = 1 + (theta + 1)(|log u| + |log v|) cancel near the diagonal, read
+        # 1.6e5 per unit of S' (1.1e8 ulps at theta = 1e5, u = v = 1e-300); it
+        # stays held to 4 S as well.  The first log-sum, which cancelled near
+        # theta = 0, was off by 6e7 ulps per unit of S at theta = 1e-8.
         theta, u, v, _, ulps = clayton_table_ulps(density, 4)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        g = (lo / hi) ** theta * (1.0 - hi**theta)
+        size = 1.0 + np.abs(np.log(hi)) + theta * np.abs(np.log(lo / hi)) + (2.0 + 1.0 / theta) * np.log1p(g)
+        assert (ulps <= 4.0 * size).all()
         assert (ulps <= 4.0 * (1.0 + (theta + 1.0) * (np.abs(np.log(u)) + np.abs(np.log(v))))).all()
 
     def test_gumbel_near_the_diagonal_matches_mpmath_table(self):
