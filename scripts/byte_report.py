@@ -13,6 +13,8 @@ compare two checkouts, run the set once with each checkout's ``src`` on
 PYTHONPATH, then diff the two directories.  For each file that differs,
 ``diff`` names the ``# key = value`` metadata entries added, removed or
 changed, and separately the largest numeric move over the rest of the file.
+``diff`` exits 0 when every file is byte-identical and 1 when any file differs
+or exists on one side only, so a script can gate on it.
 """
 
 import argparse
@@ -105,7 +107,8 @@ def describe(a: bytes, b: bytes) -> str:
     return "; ".join(notes)
 
 
-def diff(first: Path, second: Path) -> None:
+def diff(first: Path, second: Path) -> bool:
+    """Print what differs between the two directories; True if nothing does."""
     names = sorted({p.name for p in first.iterdir()} | {p.name for p in second.iterdir()})
     same = 0
     for name in names:
@@ -119,6 +122,7 @@ def diff(first: Path, second: Path) -> None:
             continue
         print(f"{name}: {describe(data_a, data_b)}")
     print(f"{same} of {len(names)} files byte-identical")
+    return same == len(names)
 
 
 def main():
@@ -131,8 +135,8 @@ def main():
     args = ap.parse_args()
     if args.action == "run":
         run(args.out)
-    else:
-        diff(args.first, args.second)
+    elif not diff(args.first, args.second):
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 from .bands import BandParameters, band_halfwidth, confidence_bands
 from .errors import ConfigError, LLCopulaError
 from .estimator import BandwidthPolicy, evaluate_grid, ll_copula_estimate
-from .families import CLAYTON, FRANK, GUMBEL, INDEPENDENCE, CopulaModel, cdf
+from .families import CLAYTON, FRANK, GUMBEL, CopulaModel, cdf
 from .fitting import fit_families
 from .gridio import meta_line, read_grid_csv, read_pairs_csv, write_csv, write_grid_csv, write_pairs_csv
 from .margins import RawSample, to_pseudo
@@ -67,14 +67,9 @@ class RunConfig:
 
 
 def _parse_overlay(text: str) -> CopulaModel:
-    name, _, theta = text.partition("=")
-    name = name.strip().lower()
-    if name == INDEPENDENCE:
-        return CopulaModel(INDEPENDENCE)
-    if not theta:
-        raise ConfigError(f"overlay {text!r} needs the form family=theta")
+    name, eq, theta = text.partition("=")
     try:
-        return CopulaModel(name, float(theta))
+        return CopulaModel(name.strip(), float(theta) if eq else None)
     except ValueError:
         raise ConfigError(f"overlay {text!r} has a non-numeric parameter") from None
 
@@ -82,10 +77,7 @@ def _parse_overlay(text: str) -> CopulaModel:
 def _model_from_config(config: RunConfig) -> CopulaModel:
     if config.family is None:
         raise ConfigError("--family is required")
-    family = config.family.lower()
-    if family == INDEPENDENCE:
-        return CopulaModel(INDEPENDENCE)
-    return CopulaModel(family, config.theta)
+    return CopulaModel(config.family, config.theta)
 
 
 def validate_config(config: RunConfig) -> list[str]:

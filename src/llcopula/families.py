@@ -3,15 +3,15 @@
 Provides the CDF, the density (mixed second partial), the conditional CDF
 given the first coordinate, its inverse, and the Kendall-tau <-> parameter
 maps.  The four functions of (model, a, b) check and broadcast their
-arguments through one helper (``_unit_args``), and ``cdf`` applies the
-uniform-margin boundary identities once around each family's interior
-formula.  Frank quantities are evaluated through exp/expm1 groupings chosen
-so that no catastrophic cancellation occurs anywhere on the supported
-parameter range.  Clayton's and Gumbel's CDF and density each build on one
-log-space terms helper per family, from min(u, v) and a once-rounded log of a
-ratio of the arguments, so no power overflows and no terms of size
-theta |log u| cancel.  Frank's tau and the Debye function behind it come from
-two series to a few ulps, and tau is inverted by bisection to 1 ulp; numpy alone.
+arguments through one helper (``_unit_args``), and ``cdf`` takes its edge
+values from min(u, v) around each family's interior formula.  Frank
+quantities are evaluated through exp/expm1 groupings chosen so that no
+catastrophic cancellation occurs anywhere on the supported parameter range.
+Clayton's and Gumbel's CDF and density each build on one log-space terms
+helper per family, from min(u, v) and a once-rounded log of a ratio of the
+arguments, so no power overflows and no terms of size theta |log u| cancel.
+Frank's tau and the Debye function behind it come from two series to a few
+ulps, and tau is inverted by bisection to 1 ulp; numpy alone.
 """
 
 from __future__ import annotations
@@ -167,21 +167,18 @@ def _gumbel_cdf(theta, u, v):
 
 
 def cdf(model: CopulaModel, u, v):
-    """Copula CDF C(u, v).  The family's formula runs on interior points only,
-    clipped into the Frechet bounds [max(u + v - 1, 0), min(u, v)] as computed
-    (where rounding puts the lower bound above the upper one, the upper wins);
-    the uniform-margin identities C(u, 1) = u, C(1, v) = v and C = 0 on the
-    lower edges are exact branches."""
+    """Copula CDF C(u, v).  It starts from min(u, v), C itself on every edge of
+    the square (``+ 0.0`` turns -0.0 into 0.0).  The family's formula runs on
+    interior points only, clipped into the Frechet bounds [max(u + v - 1, 0),
+    min(u, v)] as computed (where rounding puts the lower bound above the upper
+    one, the upper wins)."""
     u, v, scalar = _unit_args(u, v, ("u", "v"), (False, False))
-    out = np.zeros_like(u)
+    out = np.minimum(u, v) + 0.0
     inner = (u > 0.0) & (v > 0.0) & (u < 1.0) & (v < 1.0)
     interior_cdf = {INDEPENDENCE: lambda _, a, b: a * b, CLAYTON: _clayton_cdf, FRANK: _frank_cdf,
                     GUMBEL: _gumbel_cdf}[model.family]
     ui, vi = u[inner], v[inner]
-    out[inner] = np.clip(interior_cdf(model.theta, ui, vi), np.maximum(ui + vi - 1.0, 0.0), np.minimum(ui, vi))
-    out[u >= 1.0] = v[u >= 1.0]
-    out[v >= 1.0] = u[v >= 1.0]
-    out[(u <= 0.0) | (v <= 0.0)] = 0.0
+    out[inner] = np.clip(interior_cdf(model.theta, ui, vi), np.maximum(ui + vi - 1.0, 0.0), out[inner])
     return unwrap(out, scalar)
 
 
@@ -374,11 +371,6 @@ def tau_from_theta(model: CopulaModel) -> float:
     return _frank_tau(theta)
 
 
-def frank_tau_bound() -> float:
-    """Largest |tau| reachable within the Frank parameter cap."""
-    return _frank_tau(FRANK_THETA_MAX)
-
-
 def theta_from_tau(family: str, tau: float) -> float:
     """Invert the Kendall-tau map; Frank by bisection to 1 ulp."""
     family = str(family).lower()
@@ -398,7 +390,7 @@ def theta_from_tau(family: str, tau: float) -> float:
     if family == FRANK:
         if not -1.0 < tau < 1.0 or tau == 0.0:
             raise ConfigError(f"frank attains tau in (-1, 1) excluding 0, got {tau}")
-        bound = frank_tau_bound()
+        bound = _frank_tau(FRANK_THETA_MAX)  # the largest |tau| within the cap
         if abs(tau) >= bound:
             raise ConfigError(
                 f"|tau| = {abs(tau):.6f} exceeds the numerically supported frank range "

@@ -88,20 +88,14 @@ def empirical_kendall_tau(sample: PseudoSample) -> float:
     return s / n0
 
 
-def log_likelihood(model: CopulaModel, sample: PseudoSample, return_floored: bool = False):
-    """Sum of log copula densities over the clamped pseudo-observations.
-
-    Density values below the floor are lifted to it and counted; set
-    ``return_floored`` to also get that count.
-    """
+def log_likelihood(model: CopulaModel, sample: PseudoSample) -> tuple[float, int]:
+    """Sum of log copula densities over the clamped pseudo-observations, and
+    the number of density values below the floor, which are lifted to it."""
     u = np.clip(sample.u, CLAMP_EPS, 1.0 - CLAMP_EPS)
     v = np.clip(sample.v, CLAMP_EPS, 1.0 - CLAMP_EPS)
     dens = np.atleast_1d(density(model, u, v))
     floored = int((dens < DENSITY_FLOOR).sum())
-    value = float(np.sum(np.log(np.maximum(dens, DENSITY_FLOOR))))
-    if return_floored:
-        return value, floored
-    return value
+    return float(np.sum(np.log(np.maximum(dens, DENSITY_FLOOR)))), floored
 
 
 @dataclass(frozen=True)
@@ -136,7 +130,7 @@ def fit_families(sample: PseudoSample) -> FitReport:
             rows.append(FitRow(family, None, None, False, note=str(exc)))
             continue
         model = CopulaModel(family, theta)
-        value, floored = log_likelihood(model, sample, return_floored=True)
+        value, floored = log_likelihood(model, sample)
         note = f"{floored} floored density terms" if floored else ""
         rows.append(FitRow(family, theta, value, True, note=note))
     applicable = [r for r in rows if r.applicable]

@@ -169,21 +169,35 @@ class TestContainment:
 
 
 class TestCoverageReplicates:
-    def _full_containment_rate(self, halfwidth_fn, reps=100, n=1000):
-        model = CopulaModel("clayton", 2.0)
+    N = 1000
+
+    def _sup_errors(self, model, policies, reps=100):
+        """sup |C_hat - C| over a 21-node grid and over ``policies``, one per
+        replicate; replicate r is the rank transform of stream 31000 + r."""
         grid = np.linspace(0.0, 1.0, 21)
         uu, vv = np.meshgrid(grid, grid, indexing="ij")
         truth = cdf(model, uu, vv)
-        pol = BandwidthPolicy.from_sample_size(n)
-        hw = halfwidth_fn(n)
-        hits = 0
+        sups = []
         for seed in range(reps):
-            draws = sample_copula(model, n, SeededStream(31_000 + seed))
+            draws = sample_copula(model, self.N, SeededStream(31_000 + seed))
             pseudo = to_pseudo_ranks(RawSample(draws.u, draws.v))
-            ge = evaluate_grid(pseudo, 21, pol)
-            hits += bool(np.abs(ge.values - truth).max() <= hw)
-        return hits / reps
+            sups.append(max(np.abs(evaluate_grid(pseudo, 21, pol).values - truth).max() for pol in policies))
+        return np.array(sups)
 
     def test_nominal_coverage(self):
-        rate = self._full_containment_rate(lambda n: band_halfwidth(BandParameters(n=n)))
+        sups = self._sup_errors(CopulaModel("clayton", 2.0), [BandwidthPolicy.from_sample_size(self.N)])
+        rate = (sups <= band_halfwidth(BandParameters(n=self.N))).mean()
         assert rate >= 0.99
+
+    @pytest.mark.parametrize("model", [
+        CopulaModel("clayton", 2.0), CopulaModel("frank", 5.0), CopulaModel("gumbel", 1.69),
+    ], ids=lambda m: m.label())
+    def test_coverage_uniform_in_bandwidth(self, model):
+        # The deviation bound holds uniformly in the bandwidth (Einmahl & Mason
+        # 2005, Ann. Statist. 33), so the default outer band must hold at every
+        # node for each of five constant bandwidths across [h_min, h_max].
+        default = BandwidthPolicy.from_sample_size(self.N)
+        hs = np.geomspace(default.h_min, default.h_max, 5)
+        sups = self._sup_errors(model, [BandwidthPolicy(h, h, h) for h in hs])
+        assert (sups <= band_halfwidth(BandParameters(n=self.N))).all()
+        assert rate_rn(self.N) * sups.max() < 0.5

@@ -69,6 +69,7 @@ class TestValidation:
         ["estimate", "--in", " s.csv", "--out", "e.csv"],
         ["fit", "--in", "s.csv\n", "--out", "f.csv"],
         ["sample", "--family", "clayton", "--theta", "2", "--n", "200", "--seed", "1", "--out", " x.csv "],
+        ["sample", "--family", "independence", "--theta", "2", "--n", "200", "--seed", "1", "--out", "x.csv"],
     ], ids=lambda argv: " ".join(argv))
     def test_refused_before_any_work(self, argv, tmp_path, monkeypatch, capsys):
         # What the band, policy or writer would refuse after the work is
@@ -402,6 +403,16 @@ class TestPlot:
         assert run_cli("plot", "--in", band_file, "--out", str(p)) == 3
         err = capsys.readouterr().err
         assert f"error:input: {band_file}:{at + 1}: halfwidth" in err
+        assert not p.exists()
+
+    @pytest.mark.parametrize("overlay, problem", [
+        ("independence=2", "independence copula takes no parameter"),
+        ("clayton", "clayton copula needs a finite parameter, got None"),
+    ])
+    def test_overlay_refused(self, tmp_path, band_file, capsys, overlay, problem):
+        p = tmp_path / "fig.svg"
+        assert run_cli("plot", "--in", band_file, "--out", str(p), "--overlay", overlay) == 2
+        assert capsys.readouterr().err == f"error:config: {problem}\n"
         assert not p.exists()
 
     def test_too_many_overlays(self, band_file, capsys):

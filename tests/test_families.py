@@ -17,7 +17,6 @@ from llcopula.families import (
     conditional_cdf,
     debye1,
     density,
-    frank_tau_bound,
     inverse_conditional,
     tau_from_theta,
     theta_from_tau,
@@ -253,10 +252,13 @@ class TestCdf:
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label())
     def test_boundary_identities(self, model):
         for t in (0.0, 0.25, 0.7, 1.0):
-            assert cdf(model, t, 1.0) == pytest.approx(t, abs=1e-12)
-            assert cdf(model, 1.0, t) == pytest.approx(t, abs=1e-12)
+            assert cdf(model, t, 1.0) == t
+            assert cdf(model, 1.0, t) == t
             assert cdf(model, t, 0.0) == 0.0
             assert cdf(model, 0.0, t) == 0.0
+        # A negative zero on a lower edge still gives +0.0.
+        for a, b in ((-0.0, 0.5), (0.5, -0.0)):
+            assert cdf(model, a, b) == 0.0 and not np.signbit(cdf(model, a, b))
 
     def test_rejects_outside_unit_square(self):
         with pytest.raises(ConfigError):
@@ -692,8 +694,9 @@ class TestTauMaps:
                 theta_from_tau(family, -0.3)
         with pytest.raises(ConfigError):
             theta_from_tau("frank", 0.0)
+        cap_tau = tau_from_theta(CopulaModel("frank", families.FRANK_THETA_MAX))
         with pytest.raises(ConfigError):
-            theta_from_tau("frank", frank_tau_bound() + 0.001)
+            theta_from_tau("frank", cap_tau + 0.001)
 
     @given(tau=st.floats(0.01, 0.95))
     @settings(max_examples=60, deadline=None)

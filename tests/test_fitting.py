@@ -72,26 +72,26 @@ class TestKendallTau:
 class TestLogLikelihood:
     def test_independence_is_zero(self):
         s = pseudo([0.2, 0.8, 0.5], [0.9, 0.3, 0.5])
-        assert log_likelihood(CopulaModel("independence"), s) == 0.0
+        assert log_likelihood(CopulaModel("independence"), s)[0] == 0.0
 
     def test_single_point_reduction(self):
         m = CopulaModel("clayton", 2.0)
         s = PseudoSample(np.array([0.5]), np.array([0.5]))
-        assert log_likelihood(m, s) == pytest.approx(np.log(density(m, 0.5, 0.5)))
+        assert log_likelihood(m, s)[0] == pytest.approx(np.log(density(m, 0.5, 0.5)))
 
     def test_floored_terms_counted(self):
         # a clayton with large theta has astronomically small density at the
         # anti-diagonal corner, which underflows and hits the floor
         m = CopulaModel("clayton", 50.0)
         s = pseudo([1e-12, 0.5], [1.0 - 1e-12, 0.5])
-        value, floored = log_likelihood(m, s, return_floored=True)
+        value, floored = log_likelihood(m, s)
         assert floored == 1
         assert np.isfinite(value)
 
     def test_clamping_makes_boundary_finite(self):
         m = CopulaModel("gumbel", 2.0)
         s = pseudo([0.0, 0.5], [0.5, 1.0])
-        assert np.isfinite(log_likelihood(m, s))
+        assert np.isfinite(log_likelihood(m, s)[0])
 
     def test_true_family_beats_rivals_across_seeds(self):
         generator = CopulaModel("clayton", 1.38)
@@ -99,8 +99,8 @@ class TestLogLikelihood:
         wins = 0
         for seed in range(20):
             s = sample_copula(generator, 1000, SeededStream(600 + seed))
-            own = log_likelihood(generator, s)
-            wins += all(own > log_likelihood(r, s) for r in rivals)
+            own = log_likelihood(generator, s)[0]
+            wins += all(own > log_likelihood(r, s)[0] for r in rivals)
         assert wins >= 15
 
 
@@ -150,5 +150,5 @@ class TestFitFamilies:
         report = fit_families(s)
         theta_hat = {r.family: r.theta for r in report.rows}["clayton"]
         sweep = [theta_hat * f for f in (0.5, 0.75, 1.0, 1.33, 2.0)]
-        values = [log_likelihood(CopulaModel("clayton", th), s) for th in sweep]
+        values = [log_likelihood(CopulaModel("clayton", th), s)[0] for th in sweep]
         assert int(np.argmax(values)) in (1, 2, 3)

@@ -77,13 +77,21 @@ def test_byte_report_runs_and_diffs(tmp_path):
     path.write_text(text.replace("# policy_alpha = 0.5\n", ""))
     # diff only reads files, so it runs without llcopula on the path.
     bare = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    diff = subprocess.run([sys.executable, script, "diff", str(tmp_path / "a"), str(copy)],
-                          capture_output=True, text=True, env=bare, timeout=300, cwd=tmp_path)
-    assert diff.returncode == 0, diff.stderr
-    lines = diff.stdout.splitlines()
+
+    def diff(second):
+        return subprocess.run([sys.executable, script, "diff", str(tmp_path / "a"), str(second)],
+                              capture_output=True, text=True, env=bare, timeout=300, cwd=tmp_path)
+
+    moved = diff(copy)
+    assert moved.returncode == 1, moved.stderr
+    lines = moved.stdout.splitlines()
     assert lines[0].startswith("estimate_31_rank.csv: 1 of ")
     assert lines[0].endswith("largest by 1e-09; metadata removed: policy_alpha")
     assert lines[-1] == "18 of 19 files byte-identical"
+    # The exit code is 0 only when every file is identical.
+    same = diff(tmp_path / "a")
+    assert same.returncode == 0, same.stderr
+    assert same.stdout == "19 of 19 files byte-identical\n"
 
 
 def test_bench_pairs_summary():
