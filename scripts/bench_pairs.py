@@ -13,7 +13,9 @@ sides alike.  Each run is ``bench/run.py --workload W --seed SEED --trace 0``
 in its own tree; its end-to-end block (the last line of its stdout) becomes
 one run record.  The summary gives, per workload and metric, the pairs in
 which the change is lower, both sides' quartiles (inclusive method) and
-whether the medians differ by more than the parent's interquartile range.
+whether the medians differ by more than the parent's interquartile range,
+and whether the change's median is worse than the parent's beyond the bound
+that the parent's BENCHMARK.json fixes for the metric.
 A metric whose parent runs spread wider than the bound that the parent's
 BENCHMARK.json fixes for it (interquartile range above bound times median) is
 marked unresolved, since the pairs cannot tell it from unchanged, unless every
@@ -77,7 +79,8 @@ def summarize(runs: list[dict], bounds: dict) -> dict:
     """Whether every run was correct, the failed operations, and per metric
     named in ``bounds``, over the seeds run on both sides: the pairs, the
     change-lower count, both sides' [q1, median, q3], whether the medians
-    differ by more than the parent's IQR, and whether that IQR is wider than
+    differ by more than the parent's IQR, whether the change median exceeds
+    the parent median times (1 + bound), and whether that IQR is wider than
     the metric's bound times the parent median (unresolved, unless every
     change run is lower than every parent run).  ``runs`` holds one record per
     side and seed."""
@@ -94,6 +97,7 @@ def summarize(runs: list[dict], bounds: dict) -> dict:
             "parent_q1_median_q3": pq,
             "change_q1_median_q3": cq,
             "medians_differ_beyond_parent_iqr": abs(cq[1] - pq[1]) > pq[2] - pq[0],
+            "worse_beyond_bound": cq[1] > pq[1] * (1 + bounds[name]),
             "unresolved": pq[2] - pq[0] > bounds[name] * pq[1] and not max(change) < min(parent),
         }
     return out

@@ -140,6 +140,7 @@ def ll_copula_estimate(sample: PseudoSample, u, v, policy: BandwidthPolicy):
     su, sv = sample.sorted_columns
     u_windows, v_windows = (np.column_stack(_lattice(kerns, col)[4:]).tolist() for col in (su, sv))
     v_rank = sv.rank[su.order]  # v-rank of the point at each u-sorted position
+    u_rank = su.rank[sv.order]  # and u-rank of the point at each v-sorted position
     flat = np.empty(u.size)
     for i, (p, q) in enumerate(zip(which[: u.size].tolist(), which[u.size :].tolist())):
         (ua, ub), (va, vb), ku, kv = u_windows[p], v_windows[q], kerns[p], kerns[q]
@@ -148,7 +149,7 @@ def ll_copula_estimate(sample: PseudoSample, u, v, policy: BandwidthPolicy):
         # The v-factor at the u-window's points: 1 before va, fv on [va, vb), 0 from vb.
         at = np.clip(v_rank[ua:ub].astype(np.intp) - (va - 1), 0, vb - va + 1)
         on_u = np.sum(fu * np.concatenate(([1.0], fv, [0.0]))[at])
-        on_v = np.sum(np.where(su.rank[sv.order[va:vb]] < ua, fv, 0.0))
+        on_v = np.sum(np.where(u_rank[va:vb] < ua, fv, 0.0))
         flat[i] = (np.count_nonzero(v_rank[:ua] < va) + on_u + on_v) / sample.n
     return unwrap(np.clip(flat.reshape(u.shape), 0.0, 1.0), scalar)
 

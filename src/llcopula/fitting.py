@@ -37,36 +37,37 @@ def _dense_ranks(col: SortedColumn) -> np.ndarray:
     return dense
 
 
-# Pairs inside blocks of 2**TAU_BLOCK_BITS elements are counted all at once.
+# Pairs inside blocks of 2**TAU_BLOCK_BITS elements are counted without sorting.
 TAU_BLOCK_BITS = 5
-_LATER = np.triu(np.ones((1 << TAU_BLOCK_BITS,) * 2, dtype=bool), 1)  # [i, j]: j > i
 
 
 def _discordant_pairs(ys: np.ndarray) -> int:
     """Pairs i < j with ys[i] > ys[j], for integer ys in [0, n).
 
-    Pairs inside 32-element blocks are counted by one broadcast comparison;
-    then a bottom-up merge sort (Knight 1966, JASA 61) from width 32, with
-    one sort and one searchsorted per level.  At width w each w-block is
-    sorted, so keyed by 2w-block * n + value the left halves form one sorted
-    array.  A right-half value y in 2w-block b follows (b + 1) * w left
-    elements in blocks up to its own; searchsorted counts those keyed
-    <= b * n + y, and the rest are the left elements of its block greater
-    than y.  Sorting the keys then merges each pair of halves."""
+    Pairs inside 32-element blocks are counted one block offset at a time,
+    that offset of every block against the later ones.  Then a bottom-up
+    merge sort (Knight 1966, JASA 61) of the keys 2y from width 32 does one
+    in-place row sort per level.  At width w the right half of each 2w-row
+    is marked by its low bit, 2y + 1, so it sorts after the equal left keys;
+    a right element moving from offset w + q to m has passed the w + q - m
+    left elements greater than it.  The marked offsets of all rows sum to
+    rows * w(3w - 1)/2 less the level's count."""
     n = len(ys)
-    # Padding with n, above every value, adds no pair and sorts to the end.
-    blocks = np.full((-(-n >> TAU_BLOCK_BITS), 1 << TAU_BLOCK_BITS), n, dtype=np.int64)
-    blocks.reshape(-1)[:n] = ys
-    count = int(np.count_nonzero((blocks[:, :, None] > blocks[:, None, :]) & _LATER))
-    ys = np.sort(blocks, axis=1).reshape(-1)[:n]
-    pos = np.arange(n)
-    for bits in range(TAU_BLOCK_BITS, (n - 1).bit_length()):  # widths 32 <= w < n
-        block = pos >> (bits + 1)
-        keys = block * n + ys
-        right = ((pos >> bits) & 1).astype(bool)
-        below = np.searchsorted(keys[~right], keys[right], side="right")
-        count += int((((block[right] + 1) << bits) - below).sum())
-        ys = np.sort(keys, kind="stable") - block * n
+    size = max(1 << (n - 1).bit_length(), 1 << TAU_BLOCK_BITS)
+    # Padding with 2n + 2, even and above every key, adds no pair.
+    keys = np.full(size, 2 * n + 2, dtype=np.int32 if 2 * n + 2 < 2**31 else np.int64)
+    keys[:n] = 2 * ys
+    blocks = keys.reshape(-1, 1 << TAU_BLOCK_BITS)
+    at = blocks.T.copy()  # at[i]: offset i of every block
+    count = sum(int(np.count_nonzero(at[i] > at[i + 1 :])) for i in range(len(at) - 1))
+    blocks.sort(axis=1)
+    for bits in range(TAU_BLOCK_BITS, size.bit_length() - 1):  # widths 32 <= w < size
+        w = 1 << bits
+        rows = keys.reshape(-1, 2 * w)
+        rows[:, w:] |= 1
+        rows.sort(axis=1)
+        count += size // (2 * w) * w * (3 * w - 1) // 2 - int(np.dot((rows & 1).sum(axis=0), np.arange(2 * w)))
+        rows &= ~1
     return count
 
 

@@ -210,13 +210,14 @@ def to_pseudo_smoothed(sample: RawSample) -> PseudoSample:
 
 def _scaled_ranks(values: np.ndarray):
     # rank = count of sample values <= x_i; ties share the maximal rank,
-    # matching the empirical CDF convention.  Searching the sorted values for
-    # themselves walks the table in order, unlike n unsorted needles; ties get
-    # the group's maximal rank whatever their order, so no stable sort is needed.
+    # matching the empirical CDF convention.  In sorted order that is the end
+    # of the point's run of equal values, whatever the order within the run,
+    # so no stable sort is needed.
     order = np.argsort(values)
     sorted_values = values[order]
+    ends = np.flatnonzero(np.r_[sorted_values[1:] != sorted_values[:-1], True]) + 1
     ranks = np.empty(len(values), dtype=np.intp)
-    ranks[order] = np.searchsorted(sorted_values, sorted_values, side="right")
+    ranks[order] = np.repeat(ends, np.diff(ends, prepend=0))
     return ranks / (len(values) + 1.0), order
 
 

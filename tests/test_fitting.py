@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from llcopula.errors import ConfigError
 from llcopula.families import CopulaModel, density, tau_from_theta
@@ -52,13 +56,45 @@ class TestKendallTau:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_discordant_pairs_match_quadratic_count(self, data):
-        # Lengths on both sides of the 32-element blocks' multiples, and a
-        # value range that may be small enough to force many ties.
-        n = data.draw(st.integers(0, 300) | st.sampled_from([31, 32, 33, 63, 64, 65, 257]))
+        # Lengths on both sides of the 32-element blocks' multiples and of the
+        # powers of two the keys are padded to, a value range that may be
+        # small enough to force many ties; values drawn one by one (mostly a
+        # fill value when n is large), uniformly, or all equal.
+        n = data.draw(
+            st.integers(0, 300)
+            | st.sampled_from([31, 32, 33, 63, 64, 65, 127, 128, 129, 257, 511, 512, 513, 1023, 1024, 1025])
+        )
         top = data.draw(st.integers(0, max(n - 1, 0)))
-        ys = np.array(data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), dtype=np.int64)
+        ys = data.draw(
+            arrays(np.int64, n, elements=st.integers(0, top))
+            | st.integers(0, 2**32 - 1).map(lambda seed: np.random.default_rng(seed).integers(0, top + 1, n))
+            | st.integers(0, top).map(lambda y: np.full(n, y))
+        )
         want = sum(int((ys[i] > ys[i + 1 :]).sum()) for i in range(n))
         assert _discordant_pairs(ys) == want
+
+    def test_discordant_pairs_exact_on_ties_past_two_to_the_14(self):
+        # Ten merge levels, the last with a single real element in its right
+        # half, on values with about 55 copies each.
+        n, chunk = 2**14 + 1, 1024
+        ys = np.random.default_rng(14).integers(0, 300, n)
+        want = 0
+        for a in range(0, n, chunk):
+            head = ys[a : a + chunk]
+            want += int(np.count_nonzero(head[:, None] > ys[None, a + chunk :]))
+            want += int(np.count_nonzero(np.triu(head[:, None] > head[None, :], 1)))
+        assert _discordant_pairs(ys) == want
+
+    @pytest.mark.parametrize("decimals", [None, 3])
+    def test_matches_scipy_at_1e5(self, decimals):
+        # Clayton 2 draws, and the same draws rounded so that both columns
+        # are tie-heavy; scipy's tau-b rescaled to tau-a by the tied pairs.
+        s = sample_copula(CopulaModel("clayton", 2.0), 100_000, SeededStream(25))
+        u, v = (s.u, s.v) if decimals is None else (np.round(s.u, decimals), np.round(s.v, decimals))
+        n0 = len(u) * (len(u) - 1) // 2
+        ties = [int((c * (c - 1) // 2).sum()) for c in (np.unique(x, return_counts=True)[1] for x in (u, v))]
+        want = stats.kendalltau(u, v).statistic * math.sqrt((n0 - ties[0]) * (n0 - ties[1])) / n0
+        assert empirical_kendall_tau(pseudo(u, v)) == pytest.approx(want, abs=1e-12)
 
     def test_invariant_under_monotone_transforms(self):
         rng = np.random.default_rng(77)

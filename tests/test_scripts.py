@@ -111,6 +111,7 @@ def test_bench_pairs_summary():
         "parent_q1_median_q3": [1.0, 1.0, 1.1],
         "change_q1_median_q3": [0.5, 0.5, 0.6],
         "medians_differ_beyond_parent_iqr": True,
+        "worse_beyond_bound": False,
         "unresolved": False,
     }
     runs[-1].update(correct=False, failed=2)
@@ -120,6 +121,13 @@ def test_bench_pairs_summary():
     assert not summary["all_correct"] and summary["failed"] == 2
     assert summary["setup_s"]["change_lower"] == 0
     assert not summary["setup_s"]["medians_differ_beyond_parent_iqr"]
+    assert not summary["setup_s"]["worse_beyond_bound"]
+    # Against the 0.25 bound, a change median 30 % above the parent's is
+    # worse beyond it and one 20 % above is not.
+    for factor, worse in ((1.3, True), (1.2, False)):
+        for run in runs:
+            run["pass_s.tail"] = (factor if run["side"] == "change" else 1.0) * (1.0 + 0.01 * run["seed"])
+        assert pairs.summarize(runs, bounds)["pass_s.tail"]["worse_beyond_bound"] is worse
 
 
 def test_bench_pairs_marks_wide_parent_spread_unresolved():
