@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -69,6 +70,16 @@ def quartiles(values: list[float]) -> list[float]:
     return [round(q, 4) for q in statistics.quantiles(values, n=4, method="inclusive")]
 
 
+def sign_test_rank(pairs: int, coverage: float = 0.95) -> int:
+    """The largest k for which the k-th smallest and k-th largest of ``pairs``
+    values bound their median with probability >= ``coverage`` (the sign
+    test's interval, distribution-free), or 0 when no k does."""
+    k = 0
+    while 1 - 2 * sum(math.comb(pairs, i) for i in range(k + 1)) / 2**pairs >= coverage:
+        k += 1
+    return k
+
+
 def load_bounds(tree: str) -> dict:
     """Each end-to-end metric's bound, from the tree's BENCHMARK.json (read only)."""
     with open(os.path.join(tree, "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -82,8 +93,10 @@ def summarize(runs: list[dict], bounds: dict) -> dict:
     differ by more than the parent's IQR, whether the change median exceeds
     the parent median times (1 + bound), and whether that IQR is wider than
     the metric's bound times the parent median (unresolved, unless every
-    change run is lower than every parent run).  ``runs`` holds one record per
-    side and seed."""
+    change run is lower than every parent run).  Beside these, the paired
+    effect size: the median of the per-pair log(change / parent), and its
+    95 % sign-test interval (``sign_test_rank``; None when the pairs are too
+    few for one).  ``runs`` holds one record per side and seed."""
     sides = {side: {r["seed"]: r for r in runs if r["side"] == side} for side in ("parent", "change")}
     seeds = sorted(set(sides["parent"]) & set(sides["change"]))
     out = {"all_correct": all(r["correct"] for r in runs), "failed": sum(r["failed"] for r in runs)}
@@ -91,6 +104,8 @@ def summarize(runs: list[dict], bounds: dict) -> dict:
         parent = [sides["parent"][s][name] for s in seeds]
         change = [sides["change"][s][name] for s in seeds]
         pq, cq = quartiles(parent), quartiles(change)
+        logs = sorted(math.log(c / p) for p, c in zip(parent, change))
+        k = sign_test_rank(len(logs))
         out[name] = {
             "pairs": len(seeds),
             "change_lower": sum(c < p for p, c in zip(parent, change)),
@@ -99,6 +114,8 @@ def summarize(runs: list[dict], bounds: dict) -> dict:
             "medians_differ_beyond_parent_iqr": abs(cq[1] - pq[1]) > pq[2] - pq[0],
             "worse_beyond_bound": cq[1] > pq[1] * (1 + bounds[name]),
             "unresolved": pq[2] - pq[0] > bounds[name] * pq[1] and not max(change) < min(parent),
+            "median_log_ratio": round(statistics.median(logs), 4),
+            "log_ratio_sign_test_95": [round(logs[k - 1], 4), round(logs[-k], 4)] if k else None,
         }
     return out
 

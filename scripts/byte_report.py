@@ -7,14 +7,17 @@
 The set is ``sample`` for Clayton, Frank and Gumbel at n = 1000; ``estimate``
 and ``bands`` on the Clayton sample at 101 and 31 nodes, rank and smoothed,
 ``bands`` with and without ``--clip``; ``fit``; ``plot`` with three overlays;
-``reproduce`` for Clayton and Frank at n = 500.  The commands run inside OUT
-with relative paths, because every output file echoes its command line.  To
-compare two checkouts, run the set once with each checkout's ``src`` on
-PYTHONPATH, then diff the two directories.  For each file that differs,
-``diff`` names the ``# key = value`` metadata entries added, removed or
-changed, and separately the largest numeric move over the rest of the file.
-``diff`` exits 0 when every file is byte-identical and 1 when any file differs
-or exists on one side only, so a script can gate on it.
+``reproduce`` for Clayton and Frank at n = 500.  Then ``fit`` and ``estimate``
+at 31 nodes run on ``sample_frank_3dp.csv``, the Frank sample's data rows
+rounded to 3 decimals in plain Python, so that the ties take the tie paths of
+the ranks and of Kendall's tau: 21 commands and 22 files in all.  The commands
+run inside OUT with relative paths, because every output file echoes its
+command line.  To compare two checkouts, run the set once with each
+checkout's ``src`` on PYTHONPATH, then diff the two directories.  For each
+file that differs, ``diff`` names the ``# key = value`` metadata entries
+added, removed or changed, and separately the largest numeric move over the
+rest of the file.  ``diff`` exits 0 when every file is byte-identical and 1
+when any file differs or exists on one side only, so a script can gate on it.
 """
 
 import argparse
@@ -27,6 +30,7 @@ import sys
 from pathlib import Path
 
 SAMPLES = (("clayton", "2"), ("frank", "5"), ("gumbel", "1.69"))
+TIED = "sample_frank_3dp.csv"
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -42,11 +46,20 @@ def commands():
             out.append(["bands", *args, "--out", f"bands_{tag}.csv"])
             out.append(["bands", *args, "--clip", "--out", f"bands_{tag}_clip.csv"])
     out.append(["fit", "--in", "sample_clayton.csv", "--out", "fit.csv"])
+    out.append(["fit", "--in", TIED, "--out", "fit_tied.csv"])
+    out.append(["estimate", "--in", TIED, "--grid", "31", "--out", "estimate_tied.csv"])
     overlays = [arg for f, t in SAMPLES for arg in ("--overlay", f"{f}={t}")]
     out.append(["plot", "--in", "bands_101_rank.csv", *overlays, "--out", "plot.svg"])
     for family in ("clayton", "frank"):
         out.append(["reproduce", "--family", family, "--n", "500", "--seed", "41", "--out", f"reproduce_{family}.csv"])
     return out
+
+
+def write_rounded(source: str, target: str) -> None:
+    """``source``'s header and data rows, each value rounded to 3 decimals."""
+    header, *rows = (line for line in Path(source).read_text().splitlines() if line and not line.startswith("#"))
+    rounded = (",".join(f"{float(cell):.3f}" for cell in row.split(",")) for row in rows)
+    Path(target).write_text("\n".join([header, *rounded]) + "\n")
 
 
 def run(directory: Path) -> None:
@@ -61,6 +74,8 @@ def run(directory: Path) -> None:
                 code = cli_main(argv)
             if code != 0:
                 sys.exit(f"llcopula {' '.join(argv)} exited with {code}")
+            if argv[-1] == "sample_frank.csv":
+                write_rounded(argv[-1], TIED)
     finally:
         os.chdir(home)
     for path in sorted(directory.iterdir()):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .families import CLAYTON, FRANK, GUMBEL, CopulaModel, density, theta_from_tau
-from .kernels import SortedColumn
+from .kernels import run_bounds
 from .margins import PseudoSample
 
 # Pseudo-observations are pulled off the boundary before taking log densities;
@@ -24,17 +24,10 @@ DENSITY_FLOOR = 1e-300
 DEFAULT_FAMILIES = (CLAYTON, GUMBEL, FRANK)
 
 
-def _tied_pairs(ascending: np.ndarray) -> int:
-    """Pairs of equal values in a sorted array."""
-    counts = np.diff(np.flatnonzero(np.r_[True, ascending[1:] != ascending[:-1], True]))
+def _tied_pairs(bounds: np.ndarray) -> int:
+    """Pairs of equal values, from the bounds of their runs (``run_bounds``)."""
+    counts = np.diff(bounds)
     return int((counts * (counts - 1)).sum()) // 2
-
-
-def _dense_ranks(col: SortedColumn) -> np.ndarray:
-    """Each point's index among the column's distinct values."""
-    dense = np.empty(col.values.size, dtype=np.int64)
-    dense[col.order] = np.cumsum(np.r_[False, col.values[1:] != col.values[:-1]])
-    return dense
 
 
 # Pairs inside blocks of 2**TAU_BLOCK_BITS elements are counted without sorting.
@@ -74,18 +67,22 @@ def _discordant_pairs(ys: np.ndarray) -> int:
 def empirical_kendall_tau(sample: PseudoSample) -> float:
     """Tau-a: (concordant - discordant) / C(n, 2), ties counting as neither.
 
-    Ranks and ties come from the sample's sorted columns; one sort of the
-    joint ranks gives both the joint ties and the inversion sequence."""
+    Ranks and ties come from the runs of the sample's sorted columns.  When u has
+    ties, one sort of the joint ranks orders each u-run by v and gives the joint ties."""
     n = sample.n
     if n < 2:
         raise ConfigError(f"kendall tau needs n >= 2, got {n}")
     su, sv = sample.sorted_columns
-    joint = np.sort(_dense_ranks(su) * n + _dense_ranks(sv))
+    runs_u, runs_v = run_bounds(su.values), run_bounds(sv.values)
+    # The v dense ranks in u-sorted order.  Sorted by (u, v), u-ties are ordered by v, so their
+    # inversions are exactly the discordant pairs among those distinct in both coordinates.
+    seq = np.repeat(np.arange(runs_v.size - 1), np.diff(runs_v))[sv.rank[su.order]]
+    joint_ties = 0
+    if runs_u.size <= n:
+        joint = np.sort(np.repeat(np.arange(runs_u.size - 1) * n, np.diff(runs_u)) + seq)
+        seq, joint_ties = joint % n, _tied_pairs(run_bounds(joint))
     n0 = n * (n - 1) // 2
-    # Sorted by (u, v), x-ties are ordered by v, so inversions of the v ranks
-    # are exactly the discordant pairs among those distinct in both coordinates.
-    discordant = _discordant_pairs(joint % n)
-    s = n0 - _tied_pairs(su.values) - _tied_pairs(sv.values) + _tied_pairs(joint) - 2 * discordant
+    s = n0 - _tied_pairs(runs_u) - _tied_pairs(runs_v) + joint_ties - 2 * _discordant_pairs(seq)
     return s / n0
 
 

@@ -176,3 +176,8 @@ class SortedColumn:
         a = np.searchsorted(self.values, x - h * hi - pad, side="left")
         b = np.searchsorted(self.values, x - h * lo + pad, side="right")
         return a, b
+
+
+def run_bounds(ascending: np.ndarray) -> np.ndarray:
+    """Bounds b of the runs of equal values in a sorted array: run r is ascending[b[r]:b[r + 1]], none if empty."""
+    return np.flatnonzero(np.r_[True, ascending[1:] != ascending[:-1], True])[: ascending.size + 1]

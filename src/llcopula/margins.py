@@ -21,7 +21,7 @@ import numpy as np
 
 from ._arrays import unwrap
 from .errors import ConfigError
-from .kernels import SortedColumn
+from .kernels import SortedColumn, run_bounds
 
 TRANSFORM_RANK = "rank"
 TRANSFORM_SMOOTHED = "smoothed"
@@ -158,8 +158,7 @@ def _cubic_window_sums(values, bandwidth, q, a, b):
     expanding about box centres in the fast Gauss transform (Greengard &
     Strain 1991) and of binned kernel sums (Wand 1994).
     """
-    cell = np.floor((values - values[0]) / (0.5 * bandwidth))
-    starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1], True])
+    starts = run_bounds(np.floor((values - values[0]) / (0.5 * bandwidth)))
     block = np.repeat(np.arange(starts.size - 1), np.diff(starts))
     anchor = values[(starts[:-1] + starts[1:] - 1) // 2]
     d = (values - anchor[block]) / bandwidth
@@ -214,10 +213,9 @@ def _scaled_ranks(values: np.ndarray):
     # of the point's run of equal values, whatever the order within the run,
     # so no stable sort is needed.
     order = np.argsort(values)
-    sorted_values = values[order]
-    ends = np.flatnonzero(np.r_[sorted_values[1:] != sorted_values[:-1], True]) + 1
+    bounds = run_bounds(values[order])
     ranks = np.empty(len(values), dtype=np.intp)
-    ranks[order] = np.repeat(ends, np.diff(ends, prepend=0))
+    ranks[order] = np.repeat(bounds[1:], np.diff(bounds))
     return ranks / (len(values) + 1.0), order
 
 

@@ -53,6 +53,13 @@ class TestKendallTau:
         s = pseudo(u, v)
         assert empirical_kendall_tau(s) == brute_tau(u, v)
 
+    @pytest.mark.parametrize("n", [2, 3, 40])
+    def test_constant_columns(self, n):
+        # A constant column ties every pair, so tau is 0 whatever the other.
+        free = np.random.default_rng(n).random(n)
+        for u, v in ((np.full(n, 0.5), np.full(n, 0.5)), (np.full(n, 0.5), free), (free, np.full(n, 0.5))):
+            assert empirical_kendall_tau(pseudo(u, v)) == brute_tau(u, v) == 0.0
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_discordant_pairs_match_quadratic_count(self, data):
@@ -85,12 +92,17 @@ class TestKendallTau:
             want += int(np.count_nonzero(np.triu(head[:, None] > head[None, :], 1)))
         assert _discordant_pairs(ys) == want
 
-    @pytest.mark.parametrize("decimals", [None, 3])
-    def test_matches_scipy_at_1e5(self, decimals):
-        # Clayton 2 draws, and the same draws rounded so that both columns
-        # are tie-heavy; scipy's tau-b rescaled to tau-a by the tied pairs.
+    @pytest.mark.parametrize(
+        "decimals, axes",
+        [pytest.param(None, "", id="None"), pytest.param(3, "uv", id="3"),
+         pytest.param(3, "u", id="3-u-only"), pytest.param(3, "v", id="3-v-only")],
+    )
+    def test_matches_scipy_at_1e5(self, decimals, axes):
+        # Clayton 2 draws, and the same draws with the named columns rounded
+        # so that they are tie-heavy: ties in u take the joint sort, ties in v
+        # only do not.  scipy's tau-b is rescaled to tau-a by the tied pairs.
         s = sample_copula(CopulaModel("clayton", 2.0), 100_000, SeededStream(25))
-        u, v = (s.u, s.v) if decimals is None else (np.round(s.u, decimals), np.round(s.v, decimals))
+        u, v = (np.round(x, decimals) if axis in axes else x for x, axis in ((s.u, "u"), (s.v, "v")))
         n0 = len(u) * (len(u) - 1) // 2
         ties = [int((c * (c - 1) // 2).sum()) for c in (np.unique(x, return_counts=True)[1] for x in (u, v))]
         want = stats.kendalltau(u, v).statistic * math.sqrt((n0 - ties[0]) * (n0 - ties[1])) / n0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from llcopula.errors import ConfigError, DegenerateKernelError
-from llcopula.kernels import LocalKernel, SortedColumn, kernel_moments, local_linear_cdf
+from llcopula.kernels import LocalKernel, SortedColumn, kernel_moments, local_linear_cdf, run_bounds
 from oracles import epanechnikov, epanechnikov_cdf, local_linear_density
 
 
@@ -313,3 +313,21 @@ def test_sorted_window_leaves_only_flat_terms_outside(x, h, support, seed):
     assert (t[:a] >= hi).all()
     assert (t[b:] <= lo).all()
     assert np.array_equal(col.rank[col.order], np.arange(data.size))
+
+
+@pytest.mark.parametrize(
+    "ascending, bounds",
+    [
+        ([], [0]),
+        ([0.3], [0, 1]),
+        ([2.0] * 5, [0, 5]),
+        # Block cells of the smoothed margins: floats, runs of 3, 1 and 2.
+        ([0.0, 0.0, 0.0, 1.0, 4.0, 4.0], [0, 3, 4, 6]),
+        ([-1.5, 0.25, 0.25, 7.0], [0, 1, 3, 4]),
+    ],
+    ids=["empty", "one", "all-equal", "cells", "floats"],
+)
+def test_run_bounds(ascending, bounds):
+    got = run_bounds(np.array(ascending, dtype=float))
+    assert got.tolist() == bounds
+    assert np.issubdtype(got.dtype, np.integer)

@@ -13,6 +13,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -62,7 +63,11 @@ def test_byte_report_runs_and_diffs(tmp_path):
                          capture_output=True, text=True, env=ENV, timeout=300)
     assert run.returncode == 0, run.stderr
     names = [line.split()[1] for line in run.stdout.splitlines()]
-    assert len(names) == 19 and "plot.svg" in names and "reproduce_frank.csv" in names
+    assert len(names) == 22 and "plot.svg" in names and "reproduce_frank.csv" in names
+    assert {"sample_frank_3dp.csv", "fit_tied.csv", "estimate_tied.csv"} <= set(names)
+    # The tied input is the Frank sample's data rows at 3 decimals.
+    rows = (tmp_path / "a" / "sample_frank_3dp.csv").read_text().splitlines()
+    assert rows[0] == "u,v" and len(rows) == 1001 and all(re.fullmatch(r"\d\.\d{3},\d\.\d{3}", r) for r in rows[1:])
     # A copy with one grid cell nudged and one metadata line gone: the diff
     # names that file, the move over the data rows and the lost key.
     copy = tmp_path / "b"
@@ -87,11 +92,11 @@ def test_byte_report_runs_and_diffs(tmp_path):
     lines = moved.stdout.splitlines()
     assert lines[0].startswith("estimate_31_rank.csv: 1 of ")
     assert lines[0].endswith("largest by 1e-09; metadata removed: policy_alpha")
-    assert lines[-1] == "18 of 19 files byte-identical"
+    assert lines[-1] == "21 of 22 files byte-identical"
     # The exit code is 0 only when every file is identical.
     same = diff(tmp_path / "a")
     assert same.returncode == 0, same.stderr
-    assert same.stdout == "19 of 19 files byte-identical\n"
+    assert same.stdout == "22 of 22 files byte-identical\n"
 
 
 def test_bench_pairs_summary():
@@ -113,6 +118,9 @@ def test_bench_pairs_summary():
         "medians_differ_beyond_parent_iqr": True,
         "worse_beyond_bound": False,
         "unresolved": False,
+        "median_log_ratio": -0.6931,
+        # Five pairs are too few for a 95 % sign-test interval.
+        "log_ratio_sign_test_95": None,
     }
     runs[-1].update(correct=False, failed=2)
     for run in runs:
@@ -128,6 +136,22 @@ def test_bench_pairs_summary():
         for run in runs:
             run["pass_s.tail"] = (factor if run["side"] == "change" else 1.0) * (1.0 + 0.01 * run["seed"])
         assert pairs.summarize(runs, bounds)["pass_s.tail"]["worse_beyond_bound"] is worse
+
+
+def test_bench_pairs_paired_effect_size():
+    # Ten pairs whose change/parent ratios are exp(-0.05 j), j = 0..9: the
+    # median log ratio is -0.225, and the sign test at 95 % takes the 2nd
+    # smallest and 2nd largest (k = 1 covers 99.8 %, k = 2 97.9 %, k = 3 89.1 %).
+    pairs = _load_script("bench_pairs")
+    assert [pairs.sign_test_rank(n) for n in (5, 6, 9, 10, 20)] == [0, 1, 2, 2, 6]
+    bounds = pairs.load_bounds(str(ROOT))
+    runs = []
+    for j, parent in enumerate([2.0, 1.0, 3.0, 1.5, 2.5, 1.0, 4.0, 2.0, 1.2, 0.8]):
+        for side, value in (("parent", parent), ("change", parent * math.exp(-0.05 * j))):
+            runs.append({"seed": j + 1, "side": side, "correct": True, "failed": 0, **dict.fromkeys(bounds, value)})
+    summary = pairs.summarize(runs, bounds)["pass_s.p50"]
+    assert summary["median_log_ratio"] == -0.225
+    assert summary["log_ratio_sign_test_95"] == [-0.4, -0.05]
 
 
 def test_bench_pairs_marks_wide_parent_spread_unresolved():
