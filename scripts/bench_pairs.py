@@ -70,12 +70,12 @@ def quartiles(values: list[float]) -> list[float]:
     return [round(q, 4) for q in statistics.quantiles(values, n=4, method="inclusive")]
 
 
-def sign_test_rank(pairs: int, coverage: float = 0.95) -> int:
+def sign_test_rank(pairs: int) -> int:
     """The largest k for which the k-th smallest and k-th largest of ``pairs``
-    values bound their median with probability >= ``coverage`` (the sign
-    test's interval, distribution-free), or 0 when no k does."""
+    values bound their median with probability >= 95 % (the sign test's
+    interval, distribution-free), or 0 when no k does."""
     k = 0
-    while 1 - 2 * sum(math.comb(pairs, i) for i in range(k + 1)) / 2**pairs >= coverage:
+    while 1 - 2 * sum(math.comb(pairs, i) for i in range(k + 1)) / 2**pairs >= 0.95:
         k += 1
     return k
 

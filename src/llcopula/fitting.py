@@ -67,8 +67,8 @@ def _discordant_pairs(ys: np.ndarray) -> int:
 def empirical_kendall_tau(sample: PseudoSample) -> float:
     """Tau-a: (concordant - discordant) / C(n, 2), ties counting as neither.
 
-    Ranks and ties come from the runs of the sample's sorted columns.  When u has
-    ties, one sort of the joint ranks orders each u-run by v and gives the joint ties."""
+    Ranks and ties come from the runs of the sample's sorted columns.  One sort of
+    the joint ranks orders each u-run by v and gives the joint ties."""
     n = sample.n
     if n < 2:
         raise ConfigError(f"kendall tau needs n >= 2, got {n}")
@@ -77,10 +77,8 @@ def empirical_kendall_tau(sample: PseudoSample) -> float:
     # The v dense ranks in u-sorted order.  Sorted by (u, v), u-ties are ordered by v, so their
     # inversions are exactly the discordant pairs among those distinct in both coordinates.
     seq = np.repeat(np.arange(runs_v.size - 1), np.diff(runs_v))[sv.rank[su.order]]
-    joint_ties = 0
-    if runs_u.size <= n:
-        joint = np.sort(np.repeat(np.arange(runs_u.size - 1) * n, np.diff(runs_u)) + seq)
-        seq, joint_ties = joint % n, _tied_pairs(run_bounds(joint))
+    joint = np.sort(np.repeat(np.arange(runs_u.size - 1) * n, np.diff(runs_u)) + seq)
+    seq, joint_ties = joint % n, _tied_pairs(run_bounds(joint))
     n0 = n * (n - 1) // 2
     s = n0 - _tied_pairs(runs_u) - _tied_pairs(runs_v) + joint_ties - 2 * _discordant_pairs(seq)
     return s / n0

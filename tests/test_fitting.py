@@ -99,8 +99,8 @@ class TestKendallTau:
     )
     def test_matches_scipy_at_1e5(self, decimals, axes):
         # Clayton 2 draws, and the same draws with the named columns rounded
-        # so that they are tie-heavy: ties in u take the joint sort, ties in v
-        # only do not.  scipy's tau-b is rescaled to tau-a by the tied pairs.
+        # so that they are tie-heavy, in both columns or in one only.  scipy's
+        # tau-b is rescaled to tau-a by the tied pairs.
         s = sample_copula(CopulaModel("clayton", 2.0), 100_000, SeededStream(25))
         u, v = (np.round(x, decimals) if axis in axes else x for x, axis in ((s.u, "u"), (s.v, "v")))
         n0 = len(u) * (len(u) - 1) // 2
