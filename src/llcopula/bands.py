@@ -30,8 +30,8 @@ class BandParameters:
             raise ConfigError(f"band construction needs n >= 16, got {self.n}")
         if not (0.0 < self.A_c <= 3.0):
             raise ConfigError(f"rate constant must satisfy 0 < A_c <= 3, got {self.A_c}")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ConfigError(f"inflation must be nonnegative, got {self.epsilon}")
+        if not (self.epsilon >= 0.0 and math.isfinite((1.0 + self.epsilon) * self.A_c)):
+            raise ConfigError(f"inflation must be nonnegative with (1 + epsilon) * A_c finite, got {self.epsilon}")
 
 
 def rate_rn(n: int) -> float:

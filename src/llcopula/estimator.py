@@ -91,15 +91,15 @@ def _lattice(kerns: list, col: SortedColumn):
     return (u, h, lo, hi, *col.window(u, h, lo, hi))
 
 
-def _factor_rows(kerns: list, col: SortedColumn, lattice):
-    """The factors' values on their windows, concatenated, for the kernels'
-    ``_lattice`` on the column: kernel i's b[i] - a[i] values from start[i].
-    A run of kernels of one support [lo, hi] has bitwise-equal moments, so it
-    shares one ``local_linear_cdf`` call on up to BATCH entries; a window alone
-    in its call is evaluated on its slice.  (u - X)/h is the same IEEE
-    operation per entry either way, so no value differs from the lone kernel's.
-    """
-    u, h, lo, hi, a, b = lattice
+def _factor_rows(kerns: list, col: SortedColumn):
+    """The kernels' windows [a, b) on the column (``_lattice``), each one's
+    start and the factors' values on the windows, concatenated: kernel i's
+    b[i] - a[i] values from start[i].  A run of kernels of one support [lo, hi]
+    has bitwise-equal moments, so it shares one ``local_linear_cdf`` call on up
+    to BATCH entries; a window alone in its call is evaluated on its slice.
+    (u - X)/h is the same IEEE operation per entry either way, so no value
+    differs from the lone kernel's."""
+    u, h, lo, hi, a, b = _lattice(kerns, col)
     bounds = np.concatenate(([0], np.cumsum(b - a)))  # kernel i's values at bounds[i]:bounds[i + 1]
     values = np.empty(bounds[-1])
     i = 0
@@ -115,7 +115,7 @@ def _factor_rows(kerns: list, col: SortedColumn, lattice):
             t = (np.repeat(u[i:j], w) - x) / np.repeat(h[i:j], w)
         values[bounds[i] : bounds[j]] = local_linear_cdf(kerns[i], t)
         i = j
-    return bounds[:-1], values
+    return a, b, bounds[:-1], values
 
 
 def ll_copula_estimate(sample: PseudoSample, u, v, policy: BandwidthPolicy):
@@ -169,24 +169,20 @@ def _grid_kernels(grid_size: int, policy: BandwidthPolicy) -> tuple:
     return tuple(LocalKernel.at(c, policy.bandwidth(c)) for c in np.linspace(0.0, 1.0, grid_size))
 
 
-def _grid_sums(grid_size: int, su: SortedColumn, sv: SortedColumn, policy: BandwidthPolicy) -> np.ndarray:
+def _grid_sums(kerns: tuple, su: SortedColumn, sv: SortedColumn) -> np.ndarray:
     """S[i, j], the sum over the sample of the u-factor at node i times the
-    v-factor at node j (both axes share the grid's kernels), streamed over
-    the data in u-sorted order, BLOCK columns at a time.
+    v-factor at node j (both axes share the grid's kernels ``kerns``),
+    streamed over the data in u-sorted order, BLOCK columns at a time.
 
     On a block a u-factor row is all ones, all zeros or partial.  The block of
     every v-factor is built from a rank compare plus that block's v-window
     entries.  All-ones u-rows add the block's column sums, all-zero rows are
     skipped, and only the few partial rows take a matrix product.
     """
-    n, g = su.values.size, grid_size
-    kerns = _grid_kernels(grid_size, policy)
-    lu = _lattice(kerns, su)
-    ustart, u_values = _factor_rows(kerns, su, lu)
+    n, g = su.values.size, len(kerns)
+    ua, ub, ustart, u_values = u_axis = _factor_rows(kerns, su)
     # Equal sorted columns (rank data without ties) share the factor rows.
-    lv = lu if (same := np.array_equal(su.values, sv.values)) else _lattice(kerns, sv)
-    values = u_values if same else _factor_rows(kerns, sv, lv)[1]
-    ua, ub, va, vb = lu[4:] + lv[4:]
+    va, vb, _, values = u_axis if np.array_equal(su.values, sv.values) else _factor_rows(kerns, sv)
     # The v-windows' entries: the block of the point's u-sorted position and
     # the entry's cell in that block's (g, width) v-factor.
     width = min(n, BLOCK)
@@ -244,6 +240,6 @@ def evaluate_grid(sample: PseudoSample, grid_size: int, policy: BandwidthPolicy)
     if grid_size < 2:
         raise ConfigError(f"grid size must be >= 2, got {grid_size}")
     grid = np.linspace(0.0, 1.0, grid_size)
-    sums = _grid_sums(grid_size, *sample.sorted_columns, policy)
+    sums = _grid_sums(_grid_kernels(grid_size, policy), *sample.sorted_columns)
     values = np.clip(sums / sample.n, 0.0, 1.0)
     return BandGrid(grid, grid, values, values, values, halfwidth=0.0, n=sample.n)

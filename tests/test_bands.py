@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,10 @@ class TestHalfwidth:
             BandParameters(n=1000, A_c=3.5)
         with pytest.raises(ConfigError):
             BandParameters(n=1000, A_c=0.0)
+        # (1 + epsilon) * A_c overflows to inf, which would make an infinite band.
+        with pytest.raises(ConfigError, match=r"\(1 \+ epsilon\) \* A_c finite"):
+            BandParameters(n=1000, epsilon=1e308)
+        assert math.isfinite(band_halfwidth(BandParameters(n=1000, A_c=1.0, epsilon=1e308)))
         with pytest.raises(ConfigError):
             BandParameters(n=1000, epsilon=-0.1)
         with pytest.raises(ConfigError):

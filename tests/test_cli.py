@@ -70,6 +70,7 @@ class TestValidation:
         ["fit", "--in", "s.csv\n", "--out", "f.csv"],
         ["sample", "--family", "clayton", "--theta", "2", "--n", "200", "--seed", "1", "--out", " x.csv "],
         ["sample", "--family", "independence", "--theta", "2", "--n", "200", "--seed", "1", "--out", "x.csv"],
+        ["reproduce", "--family", "frank", "--n", "100", "--seed", "1", "--epsilon", "1e308", "--out", "t.csv"],
     ], ids=lambda argv: " ".join(argv))
     def test_refused_before_any_work(self, argv, tmp_path, monkeypatch, capsys):
         # What the band, policy or writer would refuse after the work is
@@ -81,6 +82,19 @@ class TestValidation:
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith("error:config: ")
         assert calls == [] and os.listdir(tmp_path) == []
+
+    def test_overflowing_epsilon_refused_by_both_band_commands(self, tmp_path, monkeypatch, capsys):
+        # (1 + epsilon) * A_c = inf would give an infinite band; bands and
+        # reproduce both refuse it with BandParameters' message and no file.
+        monkeypatch.chdir(tmp_path)
+        run_cli("sample", "--family", "frank", "--theta", "5", "--n", "100", "--seed", "1", "--out", "s.csv")
+        capsys.readouterr()
+        assert run_cli("bands", "--in", "s.csv", "--epsilon", "1e308", "--out", "b.csv") == 2
+        refused = capsys.readouterr().err
+        assert run_cli("reproduce", "--family", "frank", "--n", "100", "--epsilon", "1e308", "--out", "t.csv") == 2
+        assert capsys.readouterr().err == refused
+        assert refused == "error:config: inflation must be nonnegative with (1 + epsilon) * A_c finite, got 1e+308\n"
+        assert os.listdir(tmp_path) == ["s.csv"]
 
     def test_validate_config_unit(self):
         cfg = RunConfig(command="plot", input_path=None, output_path=None,

@@ -17,7 +17,6 @@ from llcopula.errors import ConfigError
 from llcopula.estimator import (
     BandwidthPolicy,
     _factor_rows,
-    _lattice,
     evaluate_grid,
     ll_copula_estimate,
 )
@@ -212,14 +211,16 @@ def dense_factor(coord, data, pol):
 def assert_windows_match_dense(grid, data, pol):
     """Every node's window [a, b) and values in it, as the batched factor rows
     give them, equal the dense factor, bitwise: ones before the window, zeros
-    after it.  Returns the batches, the nodes' kernels grouped by the
+    after it.  The windows are ``SortedColumn.window``'s on the same kernels.
+    Returns the batches, the nodes' kernels grouped by the
     ``local_linear_cdf`` call that evaluated them."""
     col = SortedColumn.of(data)
     kerns = [LocalKernel.at(g, pol.bandwidth(g)) for g in grid]
     with mock.patch.object(estimator, "local_linear_cdf", wraps=local_linear_cdf) as llcdf:
-        lattice = _lattice(kerns, col)
-        start, values = _factor_rows(kerns, col, lattice)
-    for g, a, b, s in zip(grid, *lattice[4:], start):
+        wa, wb, start, values = _factor_rows(kerns, col)
+    searched = col.window(*np.array([(k.u, k.h, k.moments.lo, k.moments.hi) for k in kerns]).T)
+    assert np.array_equal(wa, searched[0]) and np.array_equal(wb, searched[1])
+    for g, a, b, s in zip(grid, wa, wb, start):
         want = dense_factor(g, data, pol)[col.order]
         assert (want[:a] == 1.0).all() and (want[b:] == 0.0).all()
         assert np.array_equal(values[s : s + b - a], want[a:b])
