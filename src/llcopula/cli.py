@@ -109,10 +109,12 @@ def validate_config(config: RunConfig) -> list[str]:
         problems.append(f"shrink exponent must be positive, got {config.alpha}")
     if config.h_n is not None and not (math.isfinite(config.h_n) and config.h_n > 0):
         problems.append(f"bandwidth override must be positive, got {config.h_n}")
-    if not 0 < config.A_c <= 3:
+    rate_ok = 0 < config.A_c <= 3
+    if not rate_ok:
         problems.append(f"rate constant must satisfy 0 < A_c <= 3, got {config.A_c}")
-    if not (math.isfinite(config.epsilon) and config.epsilon >= 0):
-        problems.append(f"inflation must be nonnegative, got {config.epsilon}")
+    # BandParameters' check, refused here before any input is read; a bad A_c is reported once.
+    if not (config.epsilon >= 0 and math.isfinite((1 + config.epsilon) * (config.A_c if rate_ok else 1))):
+        problems.append(f"inflation must be nonnegative with (1 + epsilon) * A_c finite, got {config.epsilon}")
     if config.command in ("estimate", "bands", "fit", "plot") and not config.input_path:
         problems.append(f"{config.command} requires --in")
     if config.command != "fit" and not config.output_path:

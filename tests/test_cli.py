@@ -64,6 +64,7 @@ class TestValidation:
     @pytest.mark.parametrize("argv", [
         ["bands", "--in", "s.csv", "--epsilon", "inf", "--out", "b.csv"],
         ["bands", "--in", "s.csv", "--epsilon", "nan", "--out", "b.csv"],
+        ["bands", "--in", "s.csv", "--epsilon", "1e308", "--out", "b.csv"],
         ["estimate", "--in", "s.csv", "--hn", "inf", "--out", "e.csv"],
         ["estimate", "--in", "s.csv", "--alpha", "inf", "--out", "e.csv"],
         ["estimate", "--in", " s.csv", "--out", "e.csv"],
@@ -94,6 +95,9 @@ class TestValidation:
         assert run_cli("reproduce", "--family", "frank", "--n", "100", "--epsilon", "1e308", "--out", "t.csv") == 2
         assert capsys.readouterr().err == refused
         assert refused == "error:config: inflation must be nonnegative with (1 + epsilon) * A_c finite, got 1e+308\n"
+        # bands refuses it before reading --in: a missing file gives the same error, not "no such file".
+        assert run_cli("bands", "--in", "missing.csv", "--epsilon", "1e308", "--out", "b.csv") == 2
+        assert capsys.readouterr().err == refused
         assert os.listdir(tmp_path) == ["s.csv"]
 
     def test_validate_config_unit(self):

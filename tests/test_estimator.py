@@ -51,12 +51,18 @@ def without_shrink(pol):
 # cases below it was 2 ulps.  Where every product is inexact (a constant
 # column at n = 4097) both move cells by up to 39 ulps.
 GRID_ULPS = 4
+# One-decimal ties make each factor take a few inexact values hundreds of
+# times, and repeated equal addends round the same way in a running sum: on
+# 5,000 seeded cases like ``multi_block_case``'s the grid moved cells by up
+# to 7 ulps there (a dense ``ku @ kv.T`` by up to 3.5), and by 2 at most
+# elsewhere.
+COARSE_TIE_ULPS = 16
 
 
-def assert_grid_near_exact(values, ku, kv):
+def assert_grid_near_exact(values, ku, kv, ulps=GRID_ULPS):
     n = ku.shape[1]
     exact = np.clip(np.array([[math.fsum(a * b) for b in kv] for a in ku]) / n, 0.0, 1.0)
-    assert np.abs(values - exact).max() <= GRID_ULPS * np.finfo(float).eps
+    assert np.abs(values - exact).max() <= ulps * np.finfo(float).eps
 
 
 def assert_points_near_exact(ps, uu, vv, pol):
@@ -228,27 +234,51 @@ def assert_windows_match_dense(grid, data, pol):
     return [kerns[i:j] for i, j in zip(firsts, firsts[1:] + [len(kerns)])]
 
 
-@st.composite
-def parity_case(draw):
-    """A policy, a grid and a pseudo-sample whose points sit on the hard cases:
-    ties, exactly 0 and 1, and exactly on the kernel-window edges of grid nodes."""
-    n = draw(st.integers(16, 60))
+def draw_policy_and_grid(draw, n, max_nodes):
+    """A policy for n points, a grid of at most ``max_nodes`` nodes, and the
+    hard points for it: exactly 0 and 1, and exactly on the kernel-window
+    edges of its nodes."""
     pol = BandwidthPolicy.from_sample_size(
         n, h_n=draw(st.sampled_from([None, 0.05, 0.4])), alpha=draw(st.sampled_from([0.5, 1.3]))
     )
     if draw(st.booleans()):
         pol = without_shrink(pol)
-    grid = np.linspace(0.0, 1.0, draw(st.integers(2, 12)))
+    grid = np.linspace(0.0, 1.0, draw(st.integers(2, max_nodes)))
     edges = [0.0, 1.0]
     for g in grid:
         h = pol.bandwidth(g)
         m = LocalKernel.at(g, h).moments
         edges += [g - h * m.hi, g - h * m.lo, np.nextafter(g - h * m.lo, 2.0)]
-    edges = [e for e in edges if 0.0 <= e <= 1.0]
+    return pol, grid, [e for e in edges if 0.0 <= e <= 1.0]
+
+
+@st.composite
+def parity_case(draw):
+    """A policy, a grid and a pseudo-sample whose points sit on the hard cases:
+    ties, exactly 0 and 1, and exactly on the kernel-window edges of grid nodes."""
+    n = draw(st.integers(16, 60))
+    pol, grid, edges = draw_policy_and_grid(draw, n, 12)
     point = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0))
     u = np.array(draw(st.lists(point, min_size=n, max_size=n)))
     v = np.array(draw(st.lists(point, min_size=n, max_size=n)))
     return PseudoSample(u, v), pol, grid
+
+
+@st.composite
+def multi_block_case(draw):
+    """As ``parity_case``, over one to four BLOCK-column blocks: seeded
+    uniform points, optionally rounded into ties, a drawn share of them moved
+    onto the hard points.  Also returns the grid's bound in ulps."""
+    n = draw(st.integers(500, 1600))
+    pol, grid, edges = draw_policy_and_grid(draw, n, 8)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = rng.random((2, n))
+    decimals = draw(st.sampled_from([None, 1, 2, 3]))
+    if decimals is not None:
+        columns = np.round(columns, decimals)
+    hard = rng.random((2, n)) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    columns[hard] = rng.choice(edges, np.count_nonzero(hard))
+    return PseudoSample(*columns), pol, grid, COARSE_TIE_ULPS if decimals == 1 else GRID_ULPS
 
 
 class TestWindowedParity:
@@ -264,6 +294,15 @@ class TestWindowedParity:
         ku = np.stack([dense_factor(g, ps.u, pol) for g in grid])
         kv = np.stack([dense_factor(g, ps.v, pol) for g in grid])
         assert_grid_near_exact(evaluate_grid(ps, len(grid), pol).values, ku, kv)
+
+    @given(case=multi_block_case())
+    @settings(max_examples=100, deadline=None)
+    def test_grid_over_several_blocks_matches_dense_oracle(self, case):
+        # A v-window entry in a wrong cell would move the grid by about 1/n.
+        ps, pol, grid, ulps = case
+        ku = np.stack([dense_factor(g, ps.u, pol) for g in grid])
+        kv = np.stack([dense_factor(g, ps.v, pol) for g in grid])
+        assert_grid_near_exact(evaluate_grid(ps, len(grid), pol).values, ku, kv, ulps)
 
     @given(case=parity_case())
     @settings(max_examples=25, deadline=None)
@@ -424,19 +463,24 @@ def test_sample_keeps_its_own_columns():
 
 
 def test_grid_memory_at_scale():
-    # Two dense 101 x n factor matrices alone take 16 * 101 * n bytes (154 MiB);
-    # the streamed contraction peaks at about 36 MiB.
+    # Two dense 101 x n factor matrices alone take 16 * 101 * n bytes (154 MiB).
+    # The streamed contraction peaked at 7.5 MiB here (13.7 MiB with 3-decimal
+    # ties, whose unequal sorted columns take two sets of factor rows); with the
+    # v-window entries packed and sorted by block up front it peaked at 23.0
+    # and 29.3 MiB.
     n = 100_000
     draws = sample_copula(CopulaModel("clayton", 2.0), n, SeededStream(8))
-    ps = to_pseudo_ranks(RawSample(draws.u, draws.v))
     pol = BandwidthPolicy.from_sample_size(n)
-    tracemalloc.start()
-    try:
-        evaluate_grid(ps, 101, pol)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
+    for decimals in (None, 3):
+        x, y = (draws.u, draws.v) if decimals is None else (np.round(draws.u, decimals), np.round(draws.v, decimals))
+        ps = to_pseudo_ranks(RawSample(x, y))
+        tracemalloc.start()
+        try:
+            evaluate_grid(ps, 101, pol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, decimals
 
 
 class TestPointEstimate:
