@@ -1,19 +1,25 @@
 #!/usr/bin/env python3
 """Alternating benchmark pairs of two checkouts, written as BENCH_<topic>.json.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --workload W [--workload W2 ...] \\
-        --pairs N --topic T [--heldout SEED] [--traced SEED] \\
+    python3 scripts/bench_pairs.py PARENT CHANGE [--workload W ...] [--cli N ...] \\
+        --pairs N --topic T [--heldout SEED] [--traced SEED ...] \\
         [--claim TEXT] [--out PATH]
 
 PARENT and CHANGE are two source trees, each with its own ``bench/run.py``.
-Seeds 1 to N make N pairs per workload.  Within a pair both trees run the
-same seed, one after the other, with the parent first on odd seeds and the
-change first on even ones, so a drift of the host between runs falls on both
-sides alike.  Each run is ``bench/run.py --workload W --seed SEED --trace 0``
-in its own tree; its end-to-end block (the last line of its stdout) becomes
-one run record.  The summary gives, per workload and metric, the pairs in
-which the change is lower, both sides' quartiles (inclusive method) and
-whether the medians differ by more than the parent's interquartile range,
+Seeds 1 to N make N pairs per workload and per CLI size.  Within a pair both
+trees run the same seed, one after the other, with the parent first on odd
+seeds and the change first on even ones, so a drift of the host between runs
+falls on both sides alike.  A workload run is ``bench/run.py --workload W
+--seed SEED --trace 0`` in its own tree; its end-to-end block (the last line
+of its stdout) becomes one run record.  A ``--cli N`` run is the six
+commands of ``cli_lines(N)``, ``sample`` to ``reproduce``, each a fresh
+``python -m llcopula.cli`` process with its tree's ``src`` on PYTHONPATH, in a
+fresh directory per run; each command's seconds, from process start to exit, is
+one metric.  Both runs of a CLI pair are incorrect unless every command exits 0
+and every output file is byte-identical across the trees.
+The summary gives, per workload or CLI size (``cli_n=N``) and metric, the
+pairs in which the change is lower, both sides' quartiles (inclusive method)
+and whether the medians differ by more than the parent's interquartile range,
 and whether the change's median is worse than the parent's beyond the bound
 that the parent's BENCHMARK.json fixes for the metric.
 A metric whose parent runs spread wider than the bound that the parent's
@@ -21,13 +27,14 @@ BENCHMARK.json fixes for it (interquartile range above bound times median) is
 marked unresolved, since the pairs cannot tell it from unchanged, unless every
 run of the change is lower than every run of the parent.  ``--heldout`` adds
 one more pair per workload on a seed kept apart from the claim, summarized on
-its own; ``--traced`` adds one ``--trace 1`` pair per workload, recorded with
-every per-layer metric.
+its own; each ``--traced`` seed adds one ``--trace 1`` pair per workload,
+recorded with every per-layer metric.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -35,7 +42,27 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from importlib.metadata import version
+from pathlib import Path
+
+BENCH_COMMAND = "python3 bench/run.py --workload <workload> --seed <seed> --trace 0 (seconds: BENCHMARK.json's run_seconds)"
+OVERLAYS = [arg for o in ("clayton=2", "frank=5", "gumbel=1.69") for arg in ("--overlay", o)]
+
+
+def cli_lines(n) -> dict:
+    """Each CLI command's arguments at sample size ``n`` (Gumbel 1.69 draws, a 101-node
+    grid, three overlays, a Frank table), paths relative to the run directory."""
+    data = ["--in", "sample.csv"]
+    return {
+        "sample": ["sample", "--family", "gumbel", "--theta", "1.69", "--n", str(n), "--seed", "7", "--out", "sample.csv"],
+        "estimate": ["estimate", *data, "--grid", "101", "--out", "estimate.csv"],
+        "bands": ["bands", *data, "--grid", "101", "--out", "bands.csv"],
+        "fit": ["fit", *data, "--out", "fit.csv"],
+        "plot": ["plot", "--in", "bands.csv", *OVERLAYS, "--out", "plot.svg"],
+        "reproduce": ["reproduce", "--family", "frank", "--n", str(n), "--seed", "41", "--out", "table.csv"],
+    }
 
 
 def run_bench(tree: str, workload: str, seed: int, trace: bool = False) -> dict:
@@ -51,16 +78,37 @@ def run_bench(tree: str, workload: str, seed: int, trace: bool = False) -> dict:
     return record
 
 
-def run_pairs(trees: dict, workload: str, seeds, trace: bool = False) -> list[dict]:
-    """One pair per seed, the parent first on odd seeds; a record per run."""
+def run_cli(tree: str, n: int) -> dict:
+    """The CLI chain at size ``n`` with ``tree``'s sources, in a fresh
+    directory: each command's seconds, the failed count and the SHA-256 of
+    each output file (None if the command wrote none)."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
+    record, hashes, failed = {}, {}, 0
+    with tempfile.TemporaryDirectory() as directory:
+        for cmd, line in cli_lines(n).items():
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-m", "llcopula.cli", *line], cwd=directory, env=env,
+                                  capture_output=True, timeout=600)
+            record[f"{cmd}_s"] = round(time.perf_counter() - t0, 4)
+            failed += proc.returncode != 0
+            out = Path(directory, line[-1])
+            hashes[cmd] = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    return {"correct": failed == 0, "failed": failed, **record, "hashes": hashes}
+
+
+def run_pairs(trees: dict, label: str, runner, seeds) -> list[dict]:
+    """One pair per seed, the parent first on odd seeds; a record per run of
+    ``runner(tree, seed)``.  A runner that returns output ``hashes`` makes
+    both runs of a pair incorrect unless the two sides' hashes agree."""
     records = []
     for seed in seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
-        for side in order:
-            record = {"seed": seed, "side": side, "first": order[0]}
-            record.update(run_bench(trees[side], workload, seed, trace))
+        pair = {side: {"seed": seed, "side": side, "first": order[0], **runner(trees[side], seed)} for side in order}
+        same = pair["parent"].pop("hashes", None) == pair["change"].pop("hashes", None)
+        for record in pair.values():
+            record["correct"] = record["correct"] and same
             records.append(record)
-            print(json.dumps({"workload": workload, "trace": int(trace), **record}), flush=True)
+            print(json.dumps({"pairs": label, **record}), flush=True)
     return records
 
 
@@ -120,42 +168,58 @@ def summarize(runs: list[dict], bounds: dict) -> dict:
     return out
 
 
+def summaries(runs: dict, bounds: dict) -> dict:
+    """``summarize`` per workload or CLI size (``cli_n=N``) in ``runs``, each
+    CLI command held to the bound of ``pass_s.p50``."""
+    cli = {f"{cmd}_s": bounds["pass_s.p50"] for cmd in cli_lines(0)}
+    return {key: summarize(r, cli if key.startswith("cli_n=") else bounds) for key, r in runs.items()}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--workload", action="append", default=[])
+    ap.add_argument("--cli", type=int, action="append", default=[], help="sample size of a CLI chain pair")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--topic", required=True)
     ap.add_argument("--heldout", type=int, default=None, help="one more pair per workload, summarized apart")
-    ap.add_argument("--traced", type=int, default=None, help="seed of one traced pair per workload")
+    ap.add_argument("--traced", type=int, action="append", default=[], help="seed of one traced pair per workload")
     ap.add_argument("--claim", default="", help="the claim the pairs test, recorded as given")
     ap.add_argument("--out", default=None, help="output path (default: BENCH_<topic>.json here)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
+    if not args.workload and not args.cli:
+        ap.error("give at least one --workload or --cli")
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     bounds = load_bounds(trees["parent"])
+    seeds = range(1, args.pairs + 1)
     runs, heldout, traced = {}, {}, {}
-    for workload in args.workload:
-        runs[workload] = run_pairs(trees, workload, range(1, args.pairs + 1))
+    for w in args.workload:
+        runs[w] = run_pairs(trees, w, lambda tree, seed: run_bench(tree, w, seed), seeds)
         if args.heldout is not None:
-            heldout[workload] = run_pairs(trees, workload, [args.heldout])
-        if args.traced is not None:
-            traced[workload] = run_pairs(trees, workload, [args.traced], trace=True)
+            heldout[w] = run_pairs(trees, w, lambda tree, seed: run_bench(tree, w, seed), [args.heldout])
+        if args.traced:
+            traced[w] = run_pairs(trees, f"{w} traced", lambda tree, seed: run_bench(tree, w, seed, trace=True), args.traced)
+    for n in args.cli:
+        runs[f"cli_n={n}"] = run_pairs(trees, f"cli_n={n}", lambda tree, seed: run_cli(tree, n), seeds)
+    commands = [BENCH_COMMAND] * bool(args.workload) + [
+        "per CLI size, python -m llcopula.cli <command>, a fresh process each: "
+        + "; ".join(" ".join(line) for line in cli_lines("<n>").values())] * bool(args.cli)
     report = {
         "topic": args.topic,
-        "command": "python3 bench/run.py --workload <workload> --seed <seed> --trace 0 (seconds: BENCHMARK.json's run_seconds)",
-        "method": (f"{args.pairs} pairs per workload, seeds 1-{args.pairs}; within a pair the parent "
+        "command": " | ".join(commands),
+        "method": (f"{args.pairs} pairs per workload and CLI size, seeds 1-{args.pairs}; within a pair the parent "
                    "runs first on odd seeds and the change on even ones"),
         "machine": f"{os.cpu_count()} CPUs, Python {platform.python_version()}, numpy {version('numpy')}",
         "claim": args.claim,
-        "summary": {w: summarize(r, bounds) for w, r in runs.items()},
+        "summary": summaries(runs, bounds),
         "heldout_seed": args.heldout,
-        "heldout_summary": {w: summarize(r, bounds) for w, r in heldout.items()},
+        "heldout_summary": summaries(heldout, bounds),
         "runs": runs,
         "heldout_runs": heldout,
-        "traced_seed": args.traced,
+        "traced_seeds": args.traced,
         "traced_runs": traced,
     }
     out = args.out or f"BENCH_{args.topic}.json"

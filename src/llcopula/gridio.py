@@ -18,6 +18,7 @@ import numpy as np
 
 from .bands import BandGrid
 from .errors import ConfigError, InputError
+from .kernels import run_bounds
 from .margins import RawSample
 
 GRID_COLUMNS = ("u", "v", "estimate", "lower", "upper")
@@ -219,7 +220,7 @@ def read_grid_csv(path: str) -> BandGrid:
         raise InputError(f"{path}: no data rows")
     if "halfwidth" not in meta:
         raise InputError(f"{path}: metadata block is missing the halfwidth entry")
-    grid_u, grid_v = np.unique(data[:, 0]), np.unique(data[:, 1])
+    grid_u, grid_v = (s[run_bounds(s)[:-1]] for s in (np.sort(data[:, 0]), np.sort(data[:, 1])))
     if len(data) != len(grid_u) * len(grid_v):
         raise InputError(f"{path}: rows do not form a complete lattice")
     # u-major order is part of the format; verify rather than re-sort.

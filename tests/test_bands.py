@@ -66,6 +66,9 @@ class TestHalfwidth:
         assert shrunken_halfwidth(params) == pytest.approx(
             0.01 * 3.0 / rate_rn(1000), abs=1e-15
         )
+        for epsilon in (1.0, 2.5):
+            with pytest.raises(ConfigError, match="inner half-width needs epsilon < 1"):
+                shrunken_halfwidth(BandParameters(n=1000, epsilon=epsilon))
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigError):
@@ -128,6 +131,9 @@ class TestConfidenceBands:
                 upper=np.full((2, 2), 0.2),
                 halfwidth=0.1,
             )
+        values = np.array([[0.0, 0.0], [0.0, np.nan]])
+        with pytest.raises(ConfigError, match="estimate surface contains non-finite values"):
+            BandGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]), values, values, values, halfwidth=0.0)
 
 
 class TestContainment:

@@ -72,6 +72,9 @@ class TestValidation:
         ["sample", "--family", "clayton", "--theta", "2", "--n", "200", "--seed", "1", "--out", " x.csv "],
         ["sample", "--family", "independence", "--theta", "2", "--n", "200", "--seed", "1", "--out", "x.csv"],
         ["reproduce", "--family", "frank", "--n", "100", "--seed", "1", "--epsilon", "1e308", "--out", "t.csv"],
+        ["estimate", "--in", "s.csv", "--grid", "1", "--out", "e.csv"],
+        ["bands", "--in", "s.csv", "--Ac", "5", "--out", "b.csv"],
+        ["sample", "--theta", "2", "--n", "200", "--seed", "1", "--out", "x.csv"],
     ], ids=lambda argv: " ".join(argv))
     def test_refused_before_any_work(self, argv, tmp_path, monkeypatch, capsys):
         # What the band, policy or writer would refuse after the work is
@@ -276,9 +279,10 @@ class TestPipeline:
 
     def test_fit_at_tau_zero_selects_independent_gumbel(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"
-        pairs.write_text("0.1,0.2\n0.2,0.4\n0.3,0.1\n0.4,0.3\n")
+        pairs.write_text("0.1,0.2\n\n0.2,0.4\n0.3,0.1\n\n0.4,0.3\n")
         assert run_cli("fit", "--in", str(pairs)) == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert err == "note: skipped 2 blank lines\n"
         assert "empirical kendall tau: 0.000000" in out
         rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[2:-1]}
         assert rows["gumbel"] == ["1.0000", "0.0000"]
@@ -426,6 +430,7 @@ class TestPlot:
     @pytest.mark.parametrize("overlay, problem", [
         ("independence=2", "independence copula takes no parameter"),
         ("clayton", "clayton copula needs a finite parameter, got None"),
+        ("clayton=abc", "overlay 'clayton=abc' has a non-numeric parameter"),
     ])
     def test_overlay_refused(self, tmp_path, band_file, capsys, overlay, problem):
         p = tmp_path / "fig.svg"

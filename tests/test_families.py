@@ -697,6 +697,11 @@ class TestTauMaps:
         cap_tau = tau_from_theta(CopulaModel("frank", families.FRANK_THETA_MAX))
         with pytest.raises(ConfigError):
             theta_from_tau("frank", cap_tau + 0.001)
+        assert theta_from_tau("independence", 0.0) == 0.0
+        with pytest.raises(ConfigError, match="independence copula has tau = 0 only"):
+            theta_from_tau("independence", 0.1)
+        with pytest.raises(ConfigError, match="unknown copula family 'gauss'"):
+            theta_from_tau("Gauss", 0.3)
 
     @given(tau=st.floats(0.01, 0.95))
     @settings(max_examples=60, deadline=None)

@@ -271,6 +271,10 @@ class TestGridCsv:
         path.write_text("u,v,estimate,lower,upper\n0,0,0.1,0.0,0.2\n")
         with pytest.raises(InputError, match="halfwidth"):
             read_grid_csv(str(path))
+        # A file with metadata but no data rows is refused before the halfwidth is looked for.
+        path.write_text("u,v,estimate,lower,upper\n# halfwidth = 0.1\n")
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: no data rows$"):
+            read_grid_csv(str(path))
 
     @pytest.mark.parametrize("row", ["0,0,nan,0.0,0.2", "0,0,0.1,-inf,0.2"])
     def test_non_finite_cell_reports_line(self, tmp_path, row):
@@ -311,6 +315,10 @@ class TestGridCsv:
         path.write_text("a,b,c\n0,0,0.1\n")
         with pytest.raises(InputError, match="header"):
             read_grid_csv(str(path))
+        # Five columns, but not the grid's: the header check itself refuses it.
+        path.write_text("u,v,estimate,low,high\n0,0,0.1,0.0,0.2\n# halfwidth = 0.1\n")
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:1: expected header 'u,v,estimate,lower,upper'$"):
+            read_grid_csv(str(path))
 
     def test_incomplete_lattice(self, tmp_path):
         path = tmp_path / "grid.csv"
@@ -320,6 +328,11 @@ class TestGridCsv:
             "# halfwidth = 0.1\n"
         )
         with pytest.raises(InputError, match="lattice"):
+            read_grid_csv(str(path))
+        # A complete lattice, but v-major: the reader verifies the order and does not re-sort.
+        rows = "".join(f"{u},{v},0.1,0.0,0.2\n" for v in (0, 0.5, 1) for u in (0, 1))
+        path.write_text(f"u,v,estimate,lower,upper\n{rows}# halfwidth = 0.1\n")
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: rows are not in u-major lattice order$"):
             read_grid_csv(str(path))
 
 

@@ -40,6 +40,10 @@ def test_pseudo_sample_validation():
         PseudoSample(np.array([0.5, np.nan]), np.array([0.5, 0.5]))
     with pytest.raises(ConfigError):
         PseudoSample(np.array([0.5, 0.5]), np.array([np.nan, 0.5]))
+    with pytest.raises(ConfigError, match="two equal-length 1-d columns"):
+        PseudoSample(np.array([0.5, 0.5]), np.array([0.5]))
+    with pytest.raises(ConfigError, match="pseudo-sample is empty"):
+        PseudoSample(np.array([]), np.array([]))
 
 
 def test_smoothed_cdf_saturation():

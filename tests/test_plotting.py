@@ -6,7 +6,7 @@ import pytest
 
 from llcopula.bands import BandGrid
 from llcopula.cli import main as cli_main
-from llcopula.errors import InputError
+from llcopula.errors import ConfigError, InputError
 from llcopula.families import CopulaModel
 from llcopula.gridio import write_grid_csv
 from llcopula.plotting import _heatmap_polygons, _polyline, render_surface_svg
@@ -18,6 +18,16 @@ def lattice(nu, nv, values, seed=0):
     rng = np.random.default_rng(seed)
     axes = [np.sort(rng.random(k)) for k in (nu, nv)]
     return BandGrid(*axes, values, values - 0.1, values + 0.1, halfwidth=0.1)
+
+
+@pytest.mark.parametrize("overlays, problem", [
+    ([CopulaModel("independence")] * 4, "at most 3 overlays are supported"),
+    ([CopulaModel("independence"), ("clayton", 2.0)], "overlays must be copula models"),
+], ids=["four", "not a model"])
+def test_overlays_refused_before_any_file(tmp_path, overlays, problem):
+    with pytest.raises(ConfigError, match=f"^{problem}$"):
+        render_surface_svg(lattice(3, 3, np.full((3, 3), 0.5)), str(tmp_path / "p.svg"), overlays=overlays)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestHeatmapAgainstCellLoop:

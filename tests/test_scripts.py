@@ -4,9 +4,9 @@ The coverage study runs in its own interpreter at tiny size (about a
 second); the test checks only that it exits 0 and prints its table header.  The
 coverage study's loop also runs in full, as the paper's simulation check.
 The byte report runs its command set once and diffs a nudged copy, the
-benchmark pairs' summary is checked on made-up run records (no benchmark
-runs), the CLI timing runs one tiny round, and the README's library quickstart
-runs as written.
+benchmark pairs' summary and pairing are checked on made-up run records (no
+benchmark runs), one tiny CLI pair runs both trees, and the README's library
+quickstart runs as written.
 """
 
 import contextlib
@@ -136,6 +136,15 @@ def test_bench_pairs_summary():
         for run in runs:
             run["pass_s.tail"] = (factor if run["side"] == "change" else 1.0) * (1.0 + 0.01 * run["seed"])
         assert pairs.summarize(runs, bounds)["pass_s.tail"]["worse_beyond_bound"] is worse
+    # A workload and a CLI size summarized together: the CLI size's metrics are
+    # its six commands, each held to pass_s.p50's bound, here 0.1, so the same
+    # 20 % rise is worse beyond it for a command and not for pass_s.tail.
+    cli = [{**run, **{f"{cmd}_s": run["pass_s.tail"] for cmd in pairs.cli_lines(0)}} for run in runs]
+    both = pairs.summaries({"large_n": runs, "cli_n=1000": cli}, {**bounds, "pass_s.p50": 0.1})
+    assert list(both["large_n"]) == ["all_correct", "failed", *bounds]
+    assert list(both["cli_n=1000"]) == ["all_correct", "failed", "sample_s", "estimate_s", "bands_s", "fit_s",
+                                        "plot_s", "reproduce_s"]
+    assert both["cli_n=1000"]["fit_s"]["worse_beyond_bound"] and not both["large_n"]["pass_s.tail"]["worse_beyond_bound"]
 
 
 def test_bench_pairs_paired_effect_size():
@@ -190,19 +199,33 @@ def test_readme_library_quickstart_runs():
     assert lower < value < upper
 
 
-def test_cli_timing_runs_both_trees(tmp_path):
-    # One round at a tiny size with this tree on both sides: every command
-    # exits 0 and writes the same bytes on both sides, so the round is correct.
-    out = tmp_path / "timing.json"
-    timing = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "cli_timing.py"), str(ROOT), str(ROOT),
-         "--n", "200", "--rounds", "1", "--out", str(out)],
+def test_bench_pairs_cli_runs_both_trees(tmp_path):
+    # One CLI pair at a tiny size with this tree on both sides: every command
+    # exits 0 and writes the same bytes on both sides, so the pair is correct.
+    out = tmp_path / "pairs.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(ROOT), str(ROOT),
+         "--cli", "200", "--pairs", "1", "--topic", "smoke", "--out", str(out)],
         capture_output=True, text=True, env=ENV, timeout=300,
     )
-    assert timing.returncode == 0, timing.stderr
+    assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
-    summary = report["summary"]["n=200"]
+    summary = report["summary"]["cli_n=200"]
     assert summary["all_correct"] and summary["failed"] == 0
     assert [name for name in summary if name.endswith("_s")] == [
         "sample_s", "estimate_s", "bands_s", "fit_s", "plot_s", "reproduce_s"]
-    assert summary["plot_s"]["pairs"] == 1 and len(report["runs"]["n=200"]) == 2
+    assert summary["plot_s"]["pairs"] == 1 and len(report["runs"]["cli_n=200"]) == 2
+
+
+def test_bench_pairs_alternates_and_compares_output_bytes(capsys):
+    # The parent runs first on odd seeds; a runner's output hashes must agree
+    # across the two trees, or both runs of that pair are incorrect.
+    pairs = _load_script("bench_pairs")
+    trees = {"parent": "p", "change": "c"}
+    for digest, correct in ((lambda tree: "same", True), (lambda tree: tree, False)):
+        runs = pairs.run_pairs(trees, "cli_n=9", lambda tree, seed: {
+            "correct": True, "failed": 0, "x_s": 1.0, "hashes": {"plot": digest(tree)}}, [1, 2])
+        assert [(r["seed"], r["side"], r["correct"]) for r in runs] == [
+            (1, "parent", correct), (1, "change", correct), (2, "change", correct), (2, "parent", correct)]
+        assert all("hashes" not in r for r in runs)
+    assert capsys.readouterr().out.count('"pairs": "cli_n=9"') == 8
