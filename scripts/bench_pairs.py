@@ -11,12 +11,17 @@ trees run the same seed, one after the other, with the parent first on odd
 seeds and the change first on even ones, so a drift of the host between runs
 falls on both sides alike.  A workload run is ``bench/run.py --workload W
 --seed SEED --trace 0`` in its own tree; its end-to-end block (the last line
-of its stdout) becomes one run record.  A ``--cli N`` run is the six
-commands of ``cli_lines(N)``, ``sample`` to ``reproduce``, each a fresh
-``python -m llcopula.cli`` process with its tree's ``src`` on PYTHONPATH, in a
-fresh directory per run; each command's seconds, from process start to exit, is
-one metric.  Both runs of a CLI pair are incorrect unless every command exits 0
-and every output file is byte-identical across the trees.
+of its stdout) becomes one run record.  A ``--cli N`` run is the 22 commands
+of ``commands(N)``, each a fresh ``python -m llcopula.cli`` process with its
+tree's ``src`` on PYTHONPATH, in a fresh directory per run; each command's
+seconds, from process start to exit, is one metric, named after its output
+file.  Both runs of a CLI pair are incorrect unless every command exits 0 and
+all 23 files in the two directories are byte-identical; each file that
+differs is described in both records' ``moved`` and on stdout: the
+``# key = value`` metadata keys added, removed or changed, and how many of
+the other numbers moved and the largest move (``describe``).  To check that a
+change keeps every output's bytes, run
+``python3 scripts/bench_pairs.py PARENT CHANGE --cli 1000 --pairs 1 --topic bytes``.
 The summary gives, per workload or CLI size (``cli_n=N``) and metric, the
 pairs in which the change is lower, both sides' quartiles (inclusive method)
 and whether the medians differ by more than the parent's interquartile range,
@@ -28,17 +33,18 @@ marked unresolved, since the pairs cannot tell it from unchanged, unless every
 run of the change is lower than every run of the parent.  ``--heldout`` adds
 one more pair per workload on a seed kept apart from the claim, summarized on
 its own; each ``--traced`` seed adds one ``--trace 1`` pair per workload,
-recorded with every per-layer metric.
+recorded with every per-layer metric.  The script exits 1 when any run is
+incorrect, so a script can gate on it, and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -48,21 +54,102 @@ from importlib.metadata import version
 from pathlib import Path
 
 BENCH_COMMAND = "python3 bench/run.py --workload <workload> --seed <seed> --trace 0 (seconds: BENCHMARK.json's run_seconds)"
+SAMPLES = {"sample_clayton.csv": ("clayton", "2"), "sample_frank.csv": ("frank", "5"),
+           "sample_gumbel.csv": ("gumbel", "1.69"), "sample_frank_1e-12.csv": ("frank", "1e-12")}
 OVERLAYS = [arg for o in ("clayton=2", "frank=5", "gumbel=1.69") for arg in ("--overlay", o)]
+TIED = "sample_frank_3dp.csv"
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-def cli_lines(n) -> dict:
-    """Each CLI command's arguments at sample size ``n`` (Gumbel 1.69 draws, a 101-node
-    grid, three overlays, a Frank table), paths relative to the run directory."""
-    data = ["--in", "sample.csv"]
-    return {
-        "sample": ["sample", "--family", "gumbel", "--theta", "1.69", "--n", str(n), "--seed", "7", "--out", "sample.csv"],
-        "estimate": ["estimate", *data, "--grid", "101", "--out", "estimate.csv"],
-        "bands": ["bands", *data, "--grid", "101", "--out", "bands.csv"],
-        "fit": ["fit", *data, "--out", "fit.csv"],
-        "plot": ["plot", "--in", "bands.csv", *OVERLAYS, "--out", "plot.svg"],
-        "reproduce": ["reproduce", "--family", "frank", "--n", str(n), "--seed", "41", "--out", "table.csv"],
-    }
+def commands(n) -> list[list[str]]:
+    """The CLI chain at sample size ``n``, each argv ending in its output file,
+    paths relative to the run directory: ``sample`` for each of ``SAMPLES``;
+    ``estimate``, ``bands`` and ``bands --clip`` on the Clayton sample at 101
+    and 31 nodes, rank and smoothed; ``fit``; ``fit`` and ``estimate --grid 31``
+    on ``TIED``, the Frank 5 sample at 3 decimals (``write_rounded``, run
+    between commands), so that the ties take the tie paths of the ranks and of
+    Kendall's tau; ``plot`` with three overlays; ``reproduce`` for Clayton and
+    Frank.  Every output file echoes its command line, hence the relative paths."""
+    out = [["sample", "--family", f, "--theta", t, "--n", str(n), "--seed", "7", "--out", name]
+           for name, (f, t) in SAMPLES.items()]
+    for grid in ("101", "31"):
+        for transform in ("rank", "smoothed"):
+            args = ["--in", "sample_clayton.csv", "--grid", grid, "--transform", transform]
+            tag = f"{grid}_{transform}"
+            out.append(["estimate", *args, "--out", f"estimate_{tag}.csv"])
+            out.append(["bands", *args, "--out", f"bands_{tag}.csv"])
+            out.append(["bands", *args, "--clip", "--out", f"bands_{tag}_clip.csv"])
+    out.append(["fit", "--in", "sample_clayton.csv", "--out", "fit.csv"])
+    out.append(["fit", "--in", TIED, "--out", "fit_tied.csv"])
+    out.append(["estimate", "--in", TIED, "--grid", "31", "--out", "estimate_tied.csv"])
+    out.append(["plot", "--in", "bands_101_rank.csv", *OVERLAYS, "--out", "plot.svg"])
+    for family in ("clayton", "frank"):
+        out.append(["reproduce", "--family", family, "--n", str(n), "--seed", "41", "--out", f"reproduce_{family}.csv"])
+    return out
+
+
+def metric(line: list[str]) -> str:
+    """The name of a command's seconds: its output file's stem."""
+    return f"{Path(line[-1]).stem}_s"
+
+
+def write_rounded(source: str, target: str) -> None:
+    """``source``'s header and data rows, each value rounded to 3 decimals."""
+    header, *rows = (line for line in Path(source).read_text().splitlines() if line and not line.startswith("#"))
+    rounded = (",".join(f"{float(cell):.3f}" for cell in row.split(",")) for row in rows)
+    Path(target).write_text("\n".join([header, *rounded]) + "\n")
+
+
+def largest_move(a: bytes, b: bytes):
+    """(count moved, count of numbers, largest absolute move) between two files
+    whose text apart from the numbers is the same; None when the text differs."""
+    if NUMBER.split(a) != NUMBER.split(b):
+        return None
+    moves = [abs(float(x) - float(y)) for x, y in zip(NUMBER.findall(a), NUMBER.findall(b))]
+    return sum(m > 0 for m in moves), len(moves), max(moves, default=0.0)
+
+
+def split_meta(data: bytes):
+    """The file without its ``# key = value`` lines, and those entries as a dict."""
+    rest, meta = [], {}
+    for line in data.split(b"\n"):
+        if line.startswith(b"# ") and b" = " in line:
+            key, _, value = line[2:].partition(b" = ")
+            meta[key.decode()] = value.decode()
+        else:
+            rest.append(line)
+    return b"\n".join(rest), meta
+
+
+def describe(a: bytes, b: bytes) -> str:
+    """The metadata keys added, removed or changed from ``a`` to ``b``, and
+    the largest numeric move over the rest."""
+    rest_a, meta_a = split_meta(a)
+    rest_b, meta_b = split_meta(b)
+    notes = []
+    if rest_a == rest_b:
+        notes.append("data rows byte-identical")
+    else:
+        moved = largest_move(rest_a, rest_b)
+        notes.append("text differs apart from its numbers" if moved is None
+                     else f"{moved[0]} of {moved[1]} numbers moved, largest by {moved[2]:.3g}")
+    for kind, keys in (("added", meta_b.keys() - meta_a.keys()), ("removed", meta_a.keys() - meta_b.keys()),
+                       ("changed", {k for k in meta_a.keys() & meta_b.keys() if meta_a[k] != meta_b[k]})):
+        if keys:
+            notes.append(f"metadata {kind}: {', '.join(sorted(keys))}")
+    return "; ".join(notes)
+
+
+def moved_files(parent: dict, change: dict) -> dict:
+    """Each file name whose bytes differ between the two sides' ``outputs``,
+    with ``describe``'s note, or the side it is missing on."""
+    moved = {}
+    for name in sorted(parent.keys() | change.keys()):
+        if name not in parent or name not in change:
+            moved[name] = f"missing on the {'change' if name in parent else 'parent'} side"
+        elif parent[name] != change[name]:
+            moved[name] = describe(parent[name], change[name])
+    return moved
 
 
 def run_bench(tree: str, workload: str, seed: int, trace: bool = False) -> dict:
@@ -80,35 +167,51 @@ def run_bench(tree: str, workload: str, seed: int, trace: bool = False) -> dict:
 
 def run_cli(tree: str, n: int) -> dict:
     """The CLI chain at size ``n`` with ``tree``'s sources, in a fresh
-    directory: each command's seconds, the failed count and the SHA-256 of
-    each output file (None if the command wrote none)."""
+    directory: each command's seconds (``metric``), the failed count and the
+    ``outputs``, each file left in the directory by name with its bytes."""
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
-    record, hashes, failed = {}, {}, 0
+    record, failed = {}, 0
     with tempfile.TemporaryDirectory() as directory:
-        for cmd, line in cli_lines(n).items():
+        for line in commands(n):
             t0 = time.perf_counter()
             proc = subprocess.run([sys.executable, "-m", "llcopula.cli", *line], cwd=directory, env=env,
-                                  capture_output=True, timeout=600)
-            record[f"{cmd}_s"] = round(time.perf_counter() - t0, 4)
-            failed += proc.returncode != 0
-            out = Path(directory, line[-1])
-            hashes[cmd] = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
-    return {"correct": failed == 0, "failed": failed, **record, "hashes": hashes}
+                                  capture_output=True, text=True, timeout=600)
+            record[metric(line)] = round(time.perf_counter() - t0, 4)
+            if proc.returncode != 0:
+                failed += 1
+                print(f"{tree}: llcopula {' '.join(line)} exited with {proc.returncode}: {proc.stderr[-500:]}",
+                      file=sys.stderr)
+            elif line[-1] == "sample_frank.csv":
+                write_rounded(os.path.join(directory, line[-1]), os.path.join(directory, TIED))
+        outputs = {path.name: path.read_bytes() for path in sorted(Path(directory).iterdir())}
+    return {"correct": failed == 0, "failed": failed, **record, "outputs": outputs}
 
 
 def run_pairs(trees: dict, label: str, runner, seeds) -> list[dict]:
     """One pair per seed, the parent first on odd seeds; a record per run of
-    ``runner(tree, seed)``.  A runner that returns output ``hashes`` makes
-    both runs of a pair incorrect unless the two sides' hashes agree."""
+    ``runner(tree, seed)``.  A runner that returns ``outputs`` makes both runs
+    of a pair incorrect unless the two sides' files are byte-identical; the
+    files that differ go into both records' ``moved`` (``moved_files``) and
+    onto stdout, one line each, with the count of identical files."""
     records = []
     for seed in seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         pair = {side: {"seed": seed, "side": side, "first": order[0], **runner(trees[side], seed)} for side in order}
-        same = pair["parent"].pop("hashes", None) == pair["change"].pop("hashes", None)
+        outputs = {side: record.pop("outputs", None) for side, record in pair.items()}
+        moved = {}
+        if outputs["parent"] is not None:
+            moved = moved_files(outputs["parent"], outputs["change"])
+            for record in pair.values():
+                record["moved"] = moved
         for record in pair.values():
-            record["correct"] = record["correct"] and same
+            record["correct"] = record["correct"] and not moved
             records.append(record)
             print(json.dumps({"pairs": label, **record}), flush=True)
+        if outputs["parent"] is not None:
+            for name, note in moved.items():
+                print(f"{label} seed {seed}: {name}: {note}")
+            total = len(outputs["parent"].keys() | outputs["change"].keys())
+            print(f"{label} seed {seed}: {total - len(moved)} of {total} files byte-identical", flush=True)
     return records
 
 
@@ -171,7 +274,7 @@ def summarize(runs: list[dict], bounds: dict) -> dict:
 def summaries(runs: dict, bounds: dict) -> dict:
     """``summarize`` per workload or CLI size (``cli_n=N``) in ``runs``, each
     CLI command held to the bound of ``pass_s.p50``."""
-    cli = {f"{cmd}_s": bounds["pass_s.p50"] for cmd in cli_lines(0)}
+    cli = {metric(line): bounds["pass_s.p50"] for line in commands(0)}
     return {key: summarize(r, cli if key.startswith("cli_n=") else bounds) for key, r in runs.items()}
 
 
@@ -204,12 +307,12 @@ def main(argv=None) -> int:
             traced[w] = run_pairs(trees, f"{w} traced", lambda tree, seed: run_bench(tree, w, seed, trace=True), args.traced)
     for n in args.cli:
         runs[f"cli_n={n}"] = run_pairs(trees, f"cli_n={n}", lambda tree, seed: run_cli(tree, n), seeds)
-    commands = [BENCH_COMMAND] * bool(args.workload) + [
+    described = [BENCH_COMMAND] * bool(args.workload) + [
         "per CLI size, python -m llcopula.cli <command>, a fresh process each: "
-        + "; ".join(" ".join(line) for line in cli_lines("<n>").values())] * bool(args.cli)
+        + "; ".join(" ".join(line) for line in commands("<n>"))] * bool(args.cli)
     report = {
         "topic": args.topic,
-        "command": " | ".join(commands),
+        "command": " | ".join(described),
         "method": (f"{args.pairs} pairs per workload and CLI size, seeds 1-{args.pairs}; within a pair the parent "
                    "runs first on odd seeds and the change on even ones"),
         "machine": f"{os.cpu_count()} CPUs, Python {platform.python_version()}, numpy {version('numpy')}",
@@ -227,7 +330,8 @@ def main(argv=None) -> int:
         json.dump(report, fh, indent=1)
         fh.write("\n")
     print(f"wrote {out}")
-    return 0
+    every = [r for group in (runs, heldout, traced) for records in group.values() for r in records]
+    return 0 if all(r["correct"] for r in every) else 1
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -119,6 +120,10 @@ def validate_config(config: RunConfig) -> list[str]:
         problems.append(f"{config.command} requires --in")
     if config.command != "fit" and not config.output_path:
         problems.append(f"{config.command} requires --out")
+    # The writer's temp file would fail there, after all the work.
+    folder = os.path.dirname(config.output_path or "")
+    if folder and not os.path.isdir(folder):
+        problems.append(f"--out names a missing directory: {folder}")
     # Every command but plot echoes the configuration into its output file.
     if config.command != "plot" and config.output_path:
         for key, value in config.as_meta().items():

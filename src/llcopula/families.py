@@ -6,7 +6,13 @@ maps.  The four functions of (model, a, b) check and broadcast their
 arguments through one helper (``_unit_args``), and ``cdf`` takes its edge
 values from min(u, v) around each family's interior formula.  Frank
 quantities are evaluated through exp/expm1 groupings chosen so that no
-catastrophic cancellation occurs anywhere on the supported parameter range.
+catastrophic cancellation occurs anywhere on the supported parameter range;
+its CDF and inverse conditional take each product theta u exactly and
+-log(1 + q) by log1p where 1 + q is near 1.  Against mpmath on the tests'
+200 points in [1e-3, 1 - 1e-3]^2 the inverse is within 3 ulps and the CDF
+within 4 at every tested |theta| from 1e-300 to 350, both signs (the CDF
+within 8 on other draws); a subnormal theta, below the smallest normal
+double, is refused.
 Clayton's and Gumbel's CDF and density each build on one log-space terms
 helper per family, from min(u, v) and a once-rounded log of a ratio of the
 arguments, so no power overflows and no terms of size theta |log u| cancel.
@@ -32,6 +38,9 @@ FAMILIES = (CLAYTON, FRANK, GUMBEL, INDEPENDENCE)
 
 # Keeps exp(2*|theta|) finite in double precision with margin.
 FRANK_THETA_MAX = 350.0
+# The smallest normal double: below it theta and its products are subnormal
+# and Frank's CDF and inverse lose 4-5 digits.
+FRANK_THETA_MIN = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -57,8 +66,9 @@ class CopulaModel:
         if family == CLAYTON and not theta > 0.0:
             raise ConfigError(f"clayton parameter must be > 0, got {theta}")
         if family == FRANK:
-            if theta == 0.0:
-                raise ConfigError("frank parameter must be nonzero (theta -> 0 is independence)")
+            if abs(theta) < FRANK_THETA_MIN:
+                raise ConfigError(f"frank parameter magnitude must be at least {FRANK_THETA_MIN!r}, "
+                                  f"got {theta!r} (theta -> 0 is independence)")
             if abs(theta) > FRANK_THETA_MAX:
                 raise ConfigError(f"frank parameter magnitude capped at {FRANK_THETA_MAX}, got {theta}")
         if family == GUMBEL and not theta >= 1.0:
@@ -126,22 +136,43 @@ def _clayton_cdf(theta, u, v):
     return lo * np.exp(-log1p_g / theta)
 
 
-def _frank_cdf(theta, u, v):
-    """-log(1 + q)/theta with q = expm1(-theta u) expm1(-theta v) / expm1(-theta).
+def _two_product(a, b):
+    """(p, e) with p = a * b rounded and p + e = a * b to about 2^-105 relative,
+    by Veltkamp's split (Dekker 1971).  exp(a b) = exp(p) (1 + e) to first
+    order keeps the digits that rounding |theta u| to p loses, |theta u| eps
+    of them relative."""
+    def split(x):
+        c = 134217729.0 * x  # 2^27 + 1
+        hi = c - (c - x)
+        return hi, x - hi
 
-    Where 1 + q > 1/2 it is -log1p(q)/theta, which is never negative; elsewhere
-    1 + q is the regrouped ``_frank_denom`` over expm1(-theta), which does not
-    cancel.  Against 400-digit mpmath the relative error stays below 4e-16 for
-    theta > 0 and grows like |theta| * 1e-16 for theta < 0 (2e-15 at -30,
-    1.5e-14 at -200, 2.8e-14 at -350), where the rounding of theta * u in the
-    input is amplified.
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _frank_log(theta, q, one_plus_q):
+    """-log(1 + q)/theta.  Where 1 + q > 1/2 it is -log1p(q)/theta, which keeps
+    every digit of a q near 0 and is never negative; elsewhere it is
+    -log(one_plus_q)/theta, ``one_plus_q`` being 1 + q formed without
+    cancellation.  (The clamp only keeps log1p finite on the other elements.)"""
+    return np.where(q > -0.5, -np.log1p(np.maximum(q, -0.5)), -np.log(one_plus_q)) / theta
+
+
+def _frank_cdf(theta, u, v):
+    """-log(1 + q)/theta with q = expm1(-theta u) (expm1(-theta v) / expm1(-theta))
+    by ``_frank_log``, 1 + q far from 1 being the regrouped ``_frank_denom`` over
+    expm1(-theta).  Dividing before the product keeps q from underflowing at
+    tiny |theta|, and the products theta u and theta v enter exactly
+    (``_two_product``), so the error does not grow with |theta|.
     """
-    q = np.expm1(-theta * u) * np.expm1(-theta * v) / np.expm1(-theta)
-    near = q > -0.5
-    c = np.empty_like(q)
-    c[near] = -np.log1p(q[near]) / theta
-    c[~near] = -np.log(_frank_denom(theta, u[~near], v[~near]) / np.expm1(-theta)) / theta
-    return c
+    def expm1_times(x):
+        p, e = _two_product(-theta, x)
+        return np.expm1(p) + np.exp(p) * e
+
+    d = np.expm1(-theta)
+    q = expm1_times(u) * (expm1_times(v) / d)
+    return _frank_log(theta, q, _frank_denom(theta, u, v) / d)
 
 
 def _gumbel_terms(theta, u, v):
@@ -266,10 +297,14 @@ def inverse_conditional(model: CopulaModel, w, given_u):
             log_grow = -theta * np.log(u[big]) + yb + np.log(-np.expm1(-yb))
             out[big] = np.exp(-np.logaddexp(0.0, log_grow) / theta)
     elif model.family == FRANK:
-        eu = np.exp(-theta * u)
-        num = w * np.exp(-theta) + (1.0 - w) * eu
+        # v = -log(1 + q)/theta, q = w expm1(-theta)/den: the ratio num/den
+        # is 1 + q without cancellation where q is far from 0.
+        p, e = _two_product(-theta, u)
+        eu = np.exp(p)
+        eu += eu * e
         den = w + (1.0 - w) * eu
-        out = -np.log(num / den) / theta
+        q = w * np.expm1(-theta) / den
+        out = _frank_log(theta, q, (w * np.exp(-theta) + (1.0 - w) * eu) / den)
     else:
         out = _gumbel_inverse(theta, w.ravel(), u.ravel()).reshape(w.shape)
     out = np.clip(out, 0.0, 1.0)
@@ -396,8 +431,8 @@ def theta_from_tau(family: str, tau: float) -> float:
                 f"|tau| = {abs(tau):.6f} exceeds the numerically supported frank range "
                 f"(|tau| < {bound:.6f})"
             )
-        # Bisect to 1 ulp, until the midpoint is an end; tau(hi) >= |tau| and hi > 0.
-        target, lo, hi = abs(tau), 0.0, FRANK_THETA_MAX
+        # Bisect to 1 ulp, until the midpoint is an end; tau(hi) >= |tau| and hi > FRANK_THETA_MIN.
+        target, lo, hi = abs(tau), FRANK_THETA_MIN, FRANK_THETA_MAX
         while lo < (mid := 0.5 * (lo + hi)) < hi:
             lo, hi = (mid, hi) if _frank_tau(mid) < target else (lo, mid)
         return math.copysign(hi, tau)

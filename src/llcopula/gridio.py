@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BandGrid
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, LLCopulaError
 from .kernels import run_bounds
 from .margins import RawSample
 
@@ -53,16 +53,21 @@ def _cell(x) -> str:
 
 def atomic_write(path: str, text: str) -> None:
     """Write ``text`` to ``path`` by temp file and rename; the temp name is
-    unique per call, so writers never share it, and it is removed on failure."""
+    unique per call, so writers never share it, and it is removed on failure.
+    An ``OSError`` on the temp file or the rename becomes one
+    ``LLCopulaError`` that names ``path`` and the reason."""
     tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise LLCopulaError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def meta_line(key: str, value) -> str:
@@ -114,33 +119,53 @@ def _read_csv(path: str, ncols: int):
     The first other line, at line ``first`` (0 if none), gives the ``header``
     cells if its first cell is not a float (else None); the rest are ``data``,
     ``(m, ncols)`` finite floats, parsed BLOCK_ROWS rows at a time.  A fault
-    raises ``InputError`` at ``path:line``.
+    raises ``InputError`` at ``path:line``, a byte that is not UTF-8 too, and
+    a file that cannot be opened or read at ``path``.
     """
-    if not os.path.exists(path):
-        raise InputError(f"no such file: {path}")
     first, header, notes, blanks, rows, blocks = 0, None, [], 0, [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line[:1] == "#":
-                notes.append((lineno, line))
-            elif not line:
-                blanks += 1
-            elif first:
-                rows.append((lineno, line))
-                if len(rows) == BLOCK_ROWS:
-                    blocks.append(_parse_rows(path, rows, ncols))
-                    rows = []
-            else:
-                first = lineno
-                try:
-                    float(line.split(",", 1)[0].strip())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if line[:1] == "#":
+                    notes.append((lineno, line))
+                elif not line:
+                    blanks += 1
+                elif first:
                     rows.append((lineno, line))
-                except ValueError:
-                    header = tuple(cell.strip() for cell in line.split(","))
-                    if len(header) != ncols:
-                        raise InputError(f"{path}:{first}: expected {ncols} columns, got {len(header)} in the header") from None
+                    if len(rows) == BLOCK_ROWS:
+                        blocks.append(_parse_rows(path, rows, ncols))
+                        rows = []
+                else:
+                    first = lineno
+                    try:
+                        float(line.split(",", 1)[0].strip())
+                        rows.append((lineno, line))
+                    except ValueError:
+                        header = tuple(cell.strip() for cell in line.split(","))
+                        if len(header) != ncols:
+                            raise InputError(f"{path}:{first}: expected {ncols} columns, got {len(header)} in the header") from None
+    except FileNotFoundError:
+        raise InputError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise InputError(_undecodable(path)) from None
     return first, header, np.concatenate([*blocks, _parse_rows(path, rows, ncols)]), notes, blanks
+
+
+def _undecodable(path: str) -> str:
+    """``path:line`` and the byte of the first line that is not UTF-8.  The text
+    reader decodes by the block, so the line is found again in the bytes, split
+    at the reader's universal newlines; no UTF-8 sequence holds one."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return f"{path}:{lineno}: not UTF-8 text (byte {raw[exc.start]:#04x})"
+    return f"{path}: not UTF-8 text"
 
 
 def _parse_rows(path: str, rows, ncols: int) -> np.ndarray:

@@ -75,6 +75,7 @@ class TestValidation:
         ["estimate", "--in", "s.csv", "--grid", "1", "--out", "e.csv"],
         ["bands", "--in", "s.csv", "--Ac", "5", "--out", "b.csv"],
         ["sample", "--theta", "2", "--n", "200", "--seed", "1", "--out", "x.csv"],
+        ["estimate", "--in", "s.csv", "--out", "missing/e.csv"],
     ], ids=lambda argv: " ".join(argv))
     def test_refused_before_any_work(self, argv, tmp_path, monkeypatch, capsys):
         # What the band, policy or writer would refuse after the work is
@@ -102,6 +103,27 @@ class TestValidation:
         assert run_cli("bands", "--in", "missing.csv", "--epsilon", "1e308", "--out", "b.csv") == 2
         assert capsys.readouterr().err == refused
         assert os.listdir(tmp_path) == ["s.csv"]
+
+    @pytest.mark.parametrize("command", ["estimate", "bands", "fit", "plot"])
+    def test_unreadable_input_is_an_input_error(self, command, tmp_path, monkeypatch, capsys):
+        # A directory and a byte that is not UTF-8: exit 3 and one line, no traceback, no file.
+        monkeypatch.chdir(tmp_path)
+        Path("bad.csv").write_bytes(b"u,v\n0.1,0.2\n0.3,\xff0.4\n")
+        for path, message in ((".", "error:input: .: cannot read: "),
+                              ("bad.csv", "error:input: bad.csv:3: not UTF-8 text (byte 0xff)")):
+            assert run_cli(command, "--in", path, "--out", "out") == 3
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(message)
+        assert os.listdir(tmp_path) == ["bad.csv"]
+
+    def test_unwritable_output_is_one_error(self, tmp_path, monkeypatch, capsys):
+        # An --out that names a directory passes validation; the writer's
+        # failure is one line, exit 1, and leaves no temp file.
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("taken")
+        assert run_cli("sample", "--family", "frank", "--theta", "2", "--n", "10", "--out", "taken") == 1
+        assert capsys.readouterr().err == "error:error: cannot write taken: Is a directory\n"
+        assert os.listdir(tmp_path) == ["taken"] and os.listdir("taken") == []
 
     def test_validate_config_unit(self):
         cfg = RunConfig(command="plot", input_path=None, output_path=None,

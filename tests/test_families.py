@@ -636,6 +636,47 @@ class TestInverseConditional:
         assert ((v >= 0.0) & (v <= 1.0)).all()
 
 
+# The worst error in ulps of Frank's inverse_conditional at (w, u) and of its
+# cdf at (u, w), over 200 pairs in [1e-3, 1 - 1e-3], against mpmath.  The
+# former -log(num/den)/theta read 108 ulps at theta = -2, 9.6e13 at 1e-12,
+# 9e15 (every draw 1 or -0.0) from 1e-17 and 55 at -350; the former cdf 2243
+# at 1e-154, 0 from about 1e-200 and 184 at -350.
+FRANK_WORST_ULPS = {
+    1e-300: (1, 2), -1e-300: (1, 2), 1e-17: (1, 2), -1e-17: (1, 2), 1e-12: (3, 3), -1e-12: (3, 3),
+    1e-8: (3, 3), -1e-8: (3, 3), 1e-3: (3, 4), -1e-3: (3, 2), 2.0: (2, 2), -2.0: (2, 2), 5.0: (2, 2),
+    18.0: (3, 2), 50.0: (1, 2), -50.0: (2, 2), 350.0: (1, 1), -350.0: (1, 4),
+}
+
+
+class TestFrankAccuracy:
+    @pytest.mark.parametrize("theta", FRANK_WORST_ULPS, ids=repr)
+    def test_inverse_and_cdf_match_mpmath(self, theta):
+        mp = pytest.importorskip("mpmath")
+        w, u = np.random.default_rng(0).uniform(1e-3, 1.0 - 1e-3, (2, 200))
+        model = CopulaModel("frank", theta)
+        # 60 digits plus |theta|, so that 1 + q is resolved where it is near
+        # e^-|theta|; expm1 and log1p keep q's digits at tiny |theta|.
+        with mp.workdps(60 + int(abs(theta))):
+            t = mp.mpf(theta)
+            inverse = [-mp.log1p(a * mp.expm1(-t) / (a + (1 - a) * mp.exp(-t * b))) / t
+                       for a, b in zip(map(mp.mpf, w), map(mp.mpf, u))]
+            copula = [-mp.log1p(mp.expm1(-t * a) * mp.expm1(-t * b) / mp.expm1(-t)) / t
+                      for a, b in zip(map(mp.mpf, u), map(mp.mpf, w))]
+        worst = []
+        for got, ref in ((inverse_conditional(model, w, u), inverse), (cdf(model, u, w), copula)):
+            ref = np.array([float(r) for r in ref])
+            assert not np.signbit(got).any()
+            worst.append(np.max(np.abs(got - ref) / np.spacing(ref)))
+        assert all(np.less_equal(worst, FRANK_WORST_ULPS[theta])), worst
+
+    def test_subnormal_theta_refused(self):
+        # Below the smallest normal double both functions lose 4-5 digits.
+        for theta in (1e-310, -1e-310, 5e-324):
+            with pytest.raises(ConfigError, match="frank parameter magnitude must be at least"):
+                CopulaModel("frank", theta)
+        assert CopulaModel("frank", -families.FRANK_THETA_MIN).theta == -2.2250738585072014e-308
+
+
 class TestTauMaps:
     def test_clayton_tau(self):
         assert tau_from_theta(CopulaModel("clayton", 2.0)) == 0.5
@@ -665,7 +706,8 @@ class TestTauMaps:
             for t in (theta, -theta):
                 back = theta_from_tau("frank", tau_from_theta(CopulaModel("frank", t)))
                 assert back == pytest.approx(t, rel=1e-13, abs=0.0)
-        # the bisection never returns theta = 0, which no Frank model accepts
+        # the bisection never returns a theta below the smallest normal double,
+        # which no Frank model accepts
         assert CopulaModel("frank", theta_from_tau("frank", 5e-324)).theta > 0.0
 
     def test_frank_tau_odd(self):

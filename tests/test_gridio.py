@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 import llcopula
 from llcopula.bands import BandGrid
-from llcopula.errors import ConfigError, InputError
+from llcopula.errors import ConfigError, InputError, LLCopulaError
 from llcopula.gridio import (
     BLOCK_ROWS,
     CsvDiagnostics,
@@ -423,6 +423,21 @@ class TestRowTemplate:
             assert getattr(back, name).tobytes() == getattr(grid, name).tobytes()
 
 
+def test_unreadable_file_is_an_input_error(tmp_path):
+    # The text reader decodes by the block, far ahead of the line it yields;
+    # the error still names the line of the bad byte, under \r\n endings too.
+    rows = [f"0.{i:04d},0.5" for i in range(1, 5001)]
+    rows[2999] = "0.3,\xe90.5"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(("u,v\r\n" + "\r\n".join(rows) + "\r\n").encode("latin-1"))
+    with pytest.raises(InputError, match=r"latin1\.csv:3001: not UTF-8 text \(byte 0xe9\)$"):
+        read_pairs_csv(str(path))
+    with pytest.raises(InputError, match=r": cannot read: Is a directory$"):
+        read_grid_csv(str(tmp_path))
+    with pytest.raises(InputError, match="^no such file: "):
+        read_pairs_csv(str(tmp_path / "absent.csv"))
+
+
 class TestAtomicWrite:
     def test_failed_write_keeps_old_file_and_cleans_up(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -431,6 +446,17 @@ class TestAtomicWrite:
             atomic_write(str(path), "\udcff")
         assert path.read_text() == "old\n"
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_os_error_is_one_llcopula_error(self, tmp_path):
+        # The missing directory and the directory in the way both name the
+        # path and the reason, and leave no temp file.
+        os.mkdir(tmp_path / "taken")
+        for name, reason in (("missing/out.csv", "No such file or directory"), ("taken", "Is a directory")):
+            with pytest.raises(LLCopulaError) as info:
+                atomic_write(str(tmp_path / name), "x\n")
+            assert type(info.value) is LLCopulaError
+            assert str(info.value) == f"cannot write {tmp_path / name}: {reason}"
+        assert os.listdir(tmp_path) == ["taken"] and os.listdir(tmp_path / "taken") == []
 
     def test_replaces_and_keeps_default_mode(self, tmp_path):
         path = tmp_path / "out.csv"

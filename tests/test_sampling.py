@@ -78,6 +78,16 @@ def test_clayton_large_theta_draws_no_exact_zeros(theta):
     assert (s.v > 0.0).all() and (s.v < 1.0).all()
 
 
+@pytest.mark.parametrize("theta", [1e-300, -1e-300, 1e-17, -1e-17])
+def test_frank_near_independence_draws_are_the_uniforms(theta):
+    # v solves C_2(v | u) = w, which is v = w at theta = 0.  The former
+    # -log(num/den)/theta drew only 1 and -0.0 from |theta| = 1e-17 down.
+    s = sample_copula(CopulaModel("frank", theta), 1000, SeededStream(5))
+    w = np.clip(SeededStream(5).generator().random((1000, 2)), 1e-16, 1.0 - 1e-16)[:, 1]
+    assert not np.signbit(s.v).any()
+    assert np.max(np.abs(s.v - w) / np.spacing(w)) <= 2.0
+
+
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_gumbel_draws_at_scale(seed):
     # Seeds 2, 3, 4 and 7 draw u so close to 1 that no v meets a fixed 1e-12

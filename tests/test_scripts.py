@@ -3,10 +3,10 @@
 The coverage study runs in its own interpreter at tiny size (about a
 second); the test checks only that it exits 0 and prints its table header.  The
 coverage study's loop also runs in full, as the paper's simulation check.
-The byte report runs its command set once and diffs a nudged copy, the
-benchmark pairs' summary and pairing are checked on made-up run records (no
-benchmark runs), one tiny CLI pair runs both trees, and the README's library
-quickstart runs as written.
+The benchmark pairs' file description is checked on a nudged output, their
+summary and pairing on made-up run records (no benchmark runs), one tiny CLI
+pair runs this tree on both sides, and the README's library quickstart runs
+as written.
 """
 
 import contextlib
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from llcopula.cli import main as cli_main
 from llcopula.families import CopulaModel
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,46 +58,34 @@ def test_coverage_study_outer_band_covers_and_inner_band_fails(family, theta):
     assert (outer_rate, inner_rate) == (1.0, 0.0)
 
 
-def test_byte_report_runs_and_diffs(tmp_path):
-    script = str(ROOT / "scripts" / "byte_report.py")
-    run = subprocess.run([sys.executable, script, "run", str(tmp_path / "a")],
-                         capture_output=True, text=True, env=ENV, timeout=300)
-    assert run.returncode == 0, run.stderr
-    names = [line.split()[1] for line in run.stdout.splitlines()]
-    assert len(names) == 22 and "plot.svg" in names and "reproduce_frank.csv" in names
-    assert {"sample_frank_3dp.csv", "fit_tied.csv", "estimate_tied.csv"} <= set(names)
+def test_describe_names_moved_numbers_and_metadata(tmp_path, monkeypatch):
+    # A real estimate grid and a copy with one grid cell nudged and one
+    # metadata line gone: describe names the move over the data rows and the
+    # lost key, and moved_files names only that file.
+    pairs = _load_script("bench_pairs")
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["sample", "--family", "frank", "--theta", "5", "--n", "200", "--seed", "7",
+                         "--out", "sample_frank.csv"]) == 0
+        assert cli_main(["estimate", "--in", "sample_frank.csv", "--grid", "31", "--out", "estimate.csv"]) == 0
     # The tied input is the Frank sample's data rows at 3 decimals.
-    rows = (tmp_path / "a" / "sample_frank_3dp.csv").read_text().splitlines()
-    assert rows[0] == "u,v" and len(rows) == 1001 and all(re.fullmatch(r"\d\.\d{3},\d\.\d{3}", r) for r in rows[1:])
-    # A copy with one grid cell nudged and one metadata line gone: the diff
-    # names that file, the move over the data rows and the lost key.
-    copy = tmp_path / "b"
-    copy.mkdir()
-    for name in names:
-        (copy / name).write_bytes((tmp_path / "a" / name).read_bytes())
-    path = copy / "estimate_31_rank.csv"
-    text = path.read_text()
+    pairs.write_rounded("sample_frank.csv", pairs.TIED)
+    rows = Path(pairs.TIED).read_text().splitlines()
+    assert rows[0] == "u,v" and len(rows) == 201 and all(re.fullmatch(r"\d\.\d{3},\d\.\d{3}", r) for r in rows[1:])
+    text = Path("estimate.csv").read_text()
     cell = re.search(r"\n([^,\n]+),([^,\n]+),(0\.[0-9]+)", text)
     nudged = f"{float(cell.group(3)) + 1e-9!r}"
     text = text[: cell.start(3)] + nudged + text[cell.end(3) :]
-    path.write_text(text.replace("# policy_alpha = 0.5\n", ""))
-    # diff only reads files, so it runs without llcopula on the path.
-    bare = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-
-    def diff(second):
-        return subprocess.run([sys.executable, script, "diff", str(tmp_path / "a"), str(second)],
-                              capture_output=True, text=True, env=bare, timeout=300, cwd=tmp_path)
-
-    moved = diff(copy)
-    assert moved.returncode == 1, moved.stderr
-    lines = moved.stdout.splitlines()
-    assert lines[0].startswith("estimate_31_rank.csv: 1 of ")
-    assert lines[0].endswith("largest by 1e-09; metadata removed: policy_alpha")
-    assert lines[-1] == "21 of 22 files byte-identical"
-    # The exit code is 0 only when every file is identical.
-    same = diff(tmp_path / "a")
-    assert same.returncode == 0, same.stderr
-    assert same.stdout == "22 of 22 files byte-identical\n"
+    assert "# policy_alpha = 0.5\n" in text
+    before = {name: Path(name).read_bytes() for name in ("estimate.csv", "sample_frank.csv")}
+    after = {**before, "estimate.csv": text.replace("# policy_alpha = 0.5\n", "").encode()}
+    note = pairs.describe(before["estimate.csv"], after["estimate.csv"])
+    assert re.fullmatch(r"1 of \d+ numbers moved, largest by 1e-09; metadata removed: policy_alpha", note)
+    assert pairs.moved_files(before, after) == {"estimate.csv": note}
+    assert pairs.moved_files(before, before) == {}
+    assert pairs.moved_files(before, {"estimate.csv": before["estimate.csv"]}) == {
+        "sample_frank.csv": "missing on the change side"}
+    assert pairs.describe(b"# seed = 1\n1,2\n", b"# seed = 2\n1,2\n") == "data rows byte-identical; metadata changed: seed"
 
 
 def test_bench_pairs_summary():
@@ -137,13 +126,16 @@ def test_bench_pairs_summary():
             run["pass_s.tail"] = (factor if run["side"] == "change" else 1.0) * (1.0 + 0.01 * run["seed"])
         assert pairs.summarize(runs, bounds)["pass_s.tail"]["worse_beyond_bound"] is worse
     # A workload and a CLI size summarized together: the CLI size's metrics are
-    # its six commands, each held to pass_s.p50's bound, here 0.1, so the same
-    # 20 % rise is worse beyond it for a command and not for pass_s.tail.
-    cli = [{**run, **{f"{cmd}_s": run["pass_s.tail"] for cmd in pairs.cli_lines(0)}} for run in runs]
+    # its 22 commands, each named after its output file and held to
+    # pass_s.p50's bound, here 0.1, so the same 20 % rise is worse beyond it
+    # for a command and not for pass_s.tail.
+    names = [pairs.metric(line) for line in pairs.commands(0)]
+    cli = [{**run, **dict.fromkeys(names, run["pass_s.tail"])} for run in runs]
     both = pairs.summaries({"large_n": runs, "cli_n=1000": cli}, {**bounds, "pass_s.p50": 0.1})
     assert list(both["large_n"]) == ["all_correct", "failed", *bounds]
-    assert list(both["cli_n=1000"]) == ["all_correct", "failed", "sample_s", "estimate_s", "bands_s", "fit_s",
-                                        "plot_s", "reproduce_s"]
+    assert list(both["cli_n=1000"]) == ["all_correct", "failed", *names] and len(set(names)) == 22
+    assert names[:4] == ["sample_clayton_s", "sample_frank_s", "sample_gumbel_s", "sample_frank_1e-12_s"]
+    assert {"fit_tied_s", "bands_31_smoothed_clip_s", "plot_s", "reproduce_frank_s"} <= set(names)
     assert both["cli_n=1000"]["fit_s"]["worse_beyond_bound"] and not both["large_n"]["pass_s.tail"]["worse_beyond_bound"]
 
 
@@ -201,7 +193,9 @@ def test_readme_library_quickstart_runs():
 
 def test_bench_pairs_cli_runs_both_trees(tmp_path):
     # One CLI pair at a tiny size with this tree on both sides: every command
-    # exits 0 and writes the same bytes on both sides, so the pair is correct.
+    # exits 0 and all 23 files hold the same bytes on both sides, so the pair
+    # is correct and the script exits 0.
+    pairs = _load_script("bench_pairs")
     out = tmp_path / "pairs.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(ROOT), str(ROOT),
@@ -209,23 +203,30 @@ def test_bench_pairs_cli_runs_both_trees(tmp_path):
         capture_output=True, text=True, env=ENV, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert "cli_n=200 seed 1: 23 of 23 files byte-identical" in proc.stdout.splitlines()
     report = json.loads(out.read_text())
     summary = report["summary"]["cli_n=200"]
     assert summary["all_correct"] and summary["failed"] == 0
-    assert [name for name in summary if name.endswith("_s")] == [
-        "sample_s", "estimate_s", "bands_s", "fit_s", "plot_s", "reproduce_s"]
+    assert [name for name in summary if name.endswith("_s")] == [pairs.metric(line) for line in pairs.commands(200)]
     assert summary["plot_s"]["pairs"] == 1 and len(report["runs"]["cli_n=200"]) == 2
+    assert all(run["moved"] == {} for run in report["runs"]["cli_n=200"])
 
 
 def test_bench_pairs_alternates_and_compares_output_bytes(capsys):
-    # The parent runs first on odd seeds; a runner's output hashes must agree
-    # across the two trees, or both runs of that pair are incorrect.
+    # The parent runs first on odd seeds; a runner's output files must hold
+    # the same bytes on both trees, or both runs of that pair are incorrect
+    # and name the file that moved.
     pairs = _load_script("bench_pairs")
     trees = {"parent": "p", "change": "c"}
-    for digest, correct in ((lambda tree: "same", True), (lambda tree: tree, False)):
+    for data, moved in ((lambda tree: b"1.5\n", {}),
+                        (lambda tree: {"p": b"1.5\n", "c": b"1.25\n"}[tree],
+                         {"plot.svg": "1 of 1 numbers moved, largest by 0.25"})):
         runs = pairs.run_pairs(trees, "cli_n=9", lambda tree, seed: {
-            "correct": True, "failed": 0, "x_s": 1.0, "hashes": {"plot": digest(tree)}}, [1, 2])
+            "correct": True, "failed": 0, "plot_s": 1.0, "outputs": {"plot.svg": data(tree)}}, [1, 2])
         assert [(r["seed"], r["side"], r["correct"]) for r in runs] == [
-            (1, "parent", correct), (1, "change", correct), (2, "change", correct), (2, "parent", correct)]
-        assert all("hashes" not in r for r in runs)
-    assert capsys.readouterr().out.count('"pairs": "cli_n=9"') == 8
+            (1, "parent", not moved), (1, "change", not moved), (2, "change", not moved), (2, "parent", not moved)]
+        assert all("outputs" not in r and r["moved"] == moved for r in runs)
+    out = capsys.readouterr().out
+    assert out.count('"pairs": "cli_n=9"') == 8
+    assert out.count("cli_n=9 seed 2: plot.svg: 1 of 1 numbers moved, largest by 0.25\n") == 1
+    assert out.count("seed 1: 0 of 1 files byte-identical") == 1 and out.count("1 of 1 files byte-identical") == 2
