@@ -27,18 +27,19 @@ _HIGH_RGB = np.array((8, 48, 107))
 
 def _heatmap_polygons(grid: BandGrid) -> list[str]:
     """One polygon per lattice cell, u-major, filled by the clamped mean of its
-    four corners on the white-to-blue ramp, rounded half to even."""
+    four corners on the white-to-blue ramp, rounded half to even.  Each node's
+    x and y is formatted once, and the cells are filled from those strings."""
     x0, y0, w, h = _HEAT
-    px = x0 + w * grid.grid_u
-    py = y0 + h * (1.0 - grid.grid_v)
+    xs = np.array(["%.3f" % x for x in (x0 + w * grid.grid_u).tolist()], dtype=object)
+    ys = np.array(["%.3f" % y for y in (y0 + h * (1.0 - grid.grid_v)).tolist()], dtype=object)
     z = grid.values
     t = np.clip(0.25 * (z[:-1, :-1] + z[1:, :-1] + z[:-1, 1:] + z[1:, 1:]), 0.0, 1.0)
     rgb = np.rint(_LOW_RGB + t[..., None] * (_HIGH_RGB - _LOW_RGB))
-    left, top = np.meshgrid(px[:-1], py[:-1], indexing="ij")
-    right, bottom = np.meshgrid(px[1:], py[1:], indexing="ij")
+    left, top = np.meshgrid(xs[:-1], ys[:-1], indexing="ij")
+    right, bottom = np.meshgrid(xs[1:], ys[1:], indexing="ij")
     corners = np.stack([left, top, right, top, right, bottom, left, bottom], axis=-1)
     table = np.concatenate([corners, rgb], axis=-1).reshape(-1, 11)
-    return format_rows('<polygon points="%.3f,%.3f %.3f,%.3f %.3f,%.3f %.3f,%.3f" '
+    return format_rows('<polygon points="%s,%s %s,%s %s,%s %s,%s" '
                        'fill="rgb(%d,%d,%d)" stroke="none"/>', table)
 
 

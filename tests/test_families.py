@@ -12,7 +12,6 @@ from llcopula.errors import ConfigError, NumericalError
 from llcopula.families import (
     CopulaModel,
     _gumbel_inverse,
-    _log_abs_expm1,
     cdf,
     conditional_cdf,
     debye1,
@@ -203,10 +202,12 @@ class TestCdf:
             assert cdf(m, u, v) == pytest.approx(want, abs=1e-3)
 
     def test_frank_matches_mpmath_cdf_table(self):
-        # -log(_frank_denom / expm1(-theta)) / theta alone was off by up to 8e18
-        # relative on the |theta| <= 30 rows and negative at theta = -30, -1,
-        # +-1e-8 and 5.  For theta < 0 the rounding of theta * u is amplified
-        # about |theta| times: 1.4e-14 at -200 and 2.8e-14 at -350 were measured.
+        # -log(1 + q) / theta with 1 + q always taken from its regrouped form
+        # (e^{-theta v} expm1(-theta u) + e^{-theta u} expm1(-theta (1 - u))) / d,
+        # d = expm1(-theta), was off by up to 8e18 relative on the |theta| <= 30
+        # rows and negative at theta = -30, -1, +-1e-8 and 5.  For theta < 0 the
+        # rounding of theta * u is amplified about |theta| times: 1.4e-14 at -200
+        # and 2.8e-14 at -350 were measured.
         theta, u, v, ref = np.array(FRANK_CDF_TABLE).T
         got = np.array([cdf(CopulaModel("frank", t), a, b) for t, a, b in zip(theta, u, v)])
         bound = np.where(np.abs(theta) <= 30.0, 4e-15, 1.5e-16 * np.abs(theta))
@@ -423,11 +424,6 @@ class TestDensity:
         # in log x + log y - 2 log s reaches 6.3e5 at theta = 1e6).
         assert gumbel_table_error(density, 4).max() <= 4.0
 
-    def test_log_abs_expm1_keeps_its_bytes_above_log_two(self):
-        z = np.concatenate([np.geomspace(np.log(2.0), 700.0, 500), [5.0, 18.0, 350.0]])
-        z = np.concatenate([z, -z])
-        assert np.array_equal(_log_abs_expm1(z), np.maximum(z, 0.0) + np.log1p(-np.exp(-np.abs(z))))
-
 
 class TestConditional:
     def test_independence(self):
@@ -636,38 +632,86 @@ class TestInverseConditional:
         assert ((v >= 0.0) & (v <= 1.0)).all()
 
 
-# The worst error in ulps of Frank's inverse_conditional at (w, u) and of its
-# cdf at (u, w), over 200 pairs in [1e-3, 1 - 1e-3], against mpmath.  The
-# former -log(num/den)/theta read 108 ulps at theta = -2, 9.6e13 at 1e-12,
-# 9e15 (every draw 1 or -0.0) from 1e-17 and 55 at -350; the former cdf 2243
-# at 1e-154, 0 from about 1e-200 and 184 at -350.
+# The worst error in ulps of Frank's inverse_conditional at (w = v, u) and of
+# its cdf, density and conditional_cdf (of v given u) at (u, v), over 200 pairs
+# in [1e-3, 1 - 1e-3], against mpmath.  The former inverse -log(num/den)/theta
+# read 108 ulps at theta = -2, 9.6e13 at 1e-12, 9e15 (every draw 1 or -0.0)
+# from 1e-17 and 55 at -350; the former cdf 2243 at 1e-154, 0 from about 1e-200
+# and 184 at -350.  The density and conditional_cdf, with theta u and theta v
+# rounded, read 1532 and 434 ulps at -350, 1140 and 259 at 350, 254 and 59 at
+# -50 and 103 and 3 at 1e-12.  Their pins also hold on the edge lattice of
+# test_density_and_conditional_cdf_at_the_edges, which sets -350's density pin.
 FRANK_WORST_ULPS = {
-    1e-300: (1, 2), -1e-300: (1, 2), 1e-17: (1, 2), -1e-17: (1, 2), 1e-12: (3, 3), -1e-12: (3, 3),
-    1e-8: (3, 3), -1e-8: (3, 3), 1e-3: (3, 4), -1e-3: (3, 2), 2.0: (2, 2), -2.0: (2, 2), 5.0: (2, 2),
-    18.0: (3, 2), 50.0: (1, 2), -50.0: (2, 2), 350.0: (1, 1), -350.0: (1, 4),
+    1e-300: (1, 2, 0, 1), -1e-300: (1, 2, 0, 1), 1e-17: (1, 2, 0, 1), -1e-17: (1, 2, 0, 1),
+    1e-12: (3, 3, 2, 2), -1e-12: (3, 3, 4, 3), 1e-8: (3, 3, 2, 3), -1e-8: (3, 3, 3, 3),
+    1e-3: (3, 4, 2, 3), -1e-3: (3, 2, 4, 3), 2.0: (2, 2, 4, 3), -2.0: (2, 2, 4, 2), 5.0: (2, 2, 5, 4),
+    18.0: (3, 2, 5, 3), 50.0: (1, 2, 4, 3), -50.0: (2, 2, 4, 3), 350.0: (1, 1, 3, 2), -350.0: (1, 4, 4, 2),
 }
+
+
+def frank_worst_ulps(theta, u, v):
+    """The worst ulps of the four functions of FRANK_WORST_ULPS at these points,
+    in its order, each checked to be free of -0.0."""
+    mp = pytest.importorskip("mpmath")
+    model = CopulaModel("frank", theta)
+    refs = ([], [], [], [])
+    # 60 digits plus |theta|, so that 1 + q is resolved where it is near
+    # e^-|theta|; expm1 and log1p keep q's digits at tiny |theta|.
+    with mp.workdps(60 + int(abs(theta))):
+        t = mp.mpf(theta)
+        d = mp.expm1(-t)
+        for a, b in zip(map(mp.mpf, u), map(mp.mpf, v)):
+            ea, eb = mp.expm1(-t * a), mp.expm1(-t * b)
+            refs[0].append(-mp.log1p(b * d / (b + (1 - b) * mp.exp(-t * a))) / t)
+            refs[1].append(-mp.log1p(ea * eb / d) / t)
+            refs[2].append(-t * d * mp.exp(-t * (a + b)) / (d + ea * eb) ** 2)
+            refs[3].append(mp.exp(-t * a) * eb / (d + ea * eb))
+    gots = (inverse_conditional(model, v, u), cdf(model, u, v), density(model, u, v), conditional_cdf(model, v, u))
+    worst = []
+    for got, ref in zip(gots, refs):
+        ref = np.array([float(r) for r in ref])
+        assert not np.signbit(got).any()
+        worst.append(np.max(np.abs(got - ref) / np.spacing(ref)))
+    return worst
 
 
 class TestFrankAccuracy:
     @pytest.mark.parametrize("theta", FRANK_WORST_ULPS, ids=repr)
     def test_inverse_and_cdf_match_mpmath(self, theta):
-        mp = pytest.importorskip("mpmath")
         w, u = np.random.default_rng(0).uniform(1e-3, 1.0 - 1e-3, (2, 200))
+        worst = frank_worst_ulps(theta, u, w)[:2]
+        assert all(np.less_equal(worst, FRANK_WORST_ULPS[theta][:2])), worst
+
+    @pytest.mark.parametrize("theta", FRANK_WORST_ULPS, ids=repr)
+    def test_density_and_conditional_cdf_match_mpmath(self, theta):
+        w, u = np.random.default_rng(0).uniform(1e-3, 1.0 - 1e-3, (2, 200))
+        worst = frank_worst_ulps(theta, u, w)[2:]
+        assert all(np.less_equal(worst, FRANK_WORST_ULPS[theta][2:])), worst
+
+    @pytest.mark.parametrize("theta", [350.0, -350.0, 50.0, -50.0], ids=repr)
+    def test_density_and_conditional_cdf_at_the_edges(self, theta):
+        # Here e^{-theta (u + v)} or (1 + q)^2 would leave the double range if
+        # formed before dividing.
+        edge = np.array([1e-12, 0.5, 1.0 - 1e-12])
+        u, v = (a.ravel() for a in np.meshgrid(edge, edge))
         model = CopulaModel("frank", theta)
-        # 60 digits plus |theta|, so that 1 + q is resolved where it is near
-        # e^-|theta|; expm1 and log1p keep q's digits at tiny |theta|.
-        with mp.workdps(60 + int(abs(theta))):
-            t = mp.mpf(theta)
-            inverse = [-mp.log1p(a * mp.expm1(-t) / (a + (1 - a) * mp.exp(-t * b))) / t
-                       for a, b in zip(map(mp.mpf, w), map(mp.mpf, u))]
-            copula = [-mp.log1p(mp.expm1(-t * a) * mp.expm1(-t * b) / mp.expm1(-t)) / t
-                      for a, b in zip(map(mp.mpf, u), map(mp.mpf, w))]
-        worst = []
-        for got, ref in ((inverse_conditional(model, w, u), inverse), (cdf(model, u, w), copula)):
-            ref = np.array([float(r) for r in ref])
-            assert not np.signbit(got).any()
-            worst.append(np.max(np.abs(got - ref) / np.spacing(ref)))
-        assert all(np.less_equal(worst, FRANK_WORST_ULPS[theta])), worst
+        dens, cond = density(model, u, v), conditional_cdf(model, v, u)
+        assert (np.isfinite(dens) & (dens > 0.0)).all()
+        assert ((cond >= 0.0) & (cond <= 1.0)).all()
+        worst = frank_worst_ulps(theta, u, v)[2:]
+        assert all(np.less_equal(worst, FRANK_WORST_ULPS[theta][2:])), worst
+
+    @pytest.mark.parametrize("theta", [1e-300, -1e-300], ids=repr)
+    def test_inverse_within_its_subnormal_bound(self, theta):
+        # w |theta| = 1e-316 is subnormal, so q keeps about 7 digits: the
+        # docstring's bound 2^-1074 / (w |theta|) is 4.9e-8 here; 1.6e-8 is read.
+        mp = pytest.importorskip("mpmath")
+        w, u = 1e-16, 0.5
+        got = inverse_conditional(CopulaModel("frank", theta), w, u)
+        with mp.workdps(60):
+            t, a, b = mp.mpf(theta), mp.mpf(w), mp.mpf(u)
+            ref = float(-mp.log1p(a * mp.expm1(-t) / (a + (1 - a) * mp.exp(-t * b))) / t)
+        assert abs(got - ref) / ref <= np.finfo(float).smallest_subnormal / (w * abs(theta))
 
     def test_subnormal_theta_refused(self):
         # Below the smallest normal double both functions lose 4-5 digits.
