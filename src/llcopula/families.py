@@ -13,9 +13,9 @@ within 3 ulps, the CDF within 4, the density within 5 and the conditional CDF
 within 4 at every tested |theta| from 1e-300 to 350, both signs (the CDF within
 8 on other draws); a subnormal theta, below the smallest normal double, is
 refused.
-Clayton's and Gumbel's CDF and density each build on one log-space terms
-helper per family, from min(u, v) and a once-rounded log of a ratio of the
-arguments, so no power overflows and no terms of size theta |log u| cancel.
+Clayton's and Gumbel's CDF, density and conditional CDF each build on one
+log-space terms helper per family, from min(u, v) and a once-rounded log of a
+ratio, so no power overflows and no terms of size theta |log u| cancel.
 Frank's tau and the Debye function behind it come from two series to a few
 ulps, and tau is inverted by bisection to 1 ulp; numpy alone.
 """
@@ -38,9 +38,9 @@ FAMILIES = (CLAYTON, FRANK, GUMBEL, INDEPENDENCE)
 
 # Keeps exp(2*|theta|) finite in double precision with margin.
 FRANK_THETA_MAX = 350.0
-# The smallest normal double: below it theta and its products are subnormal
-# and Frank's CDF and inverse lose 4-5 digits.
-FRANK_THETA_MIN = float(np.finfo(float).tiny)
+# The smallest normal double: below it theta and its products are subnormal,
+# Frank's CDF and inverse lose 4-5 digits and Clayton's functions read 0 or 1.
+THETA_MIN = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,11 @@ class CopulaModel:
             raise ConfigError(f"{family} copula needs a finite parameter, got {self.theta!r}")
         theta = float(self.theta)
         object.__setattr__(self, "theta", theta)
-        if family == CLAYTON and not theta > 0.0:
-            raise ConfigError(f"clayton parameter must be > 0, got {theta}")
+        if family == CLAYTON and not theta >= THETA_MIN:
+            raise ConfigError(f"clayton parameter must be at least {THETA_MIN!r}, got {theta!r}")
         if family == FRANK:
-            if abs(theta) < FRANK_THETA_MIN:
-                raise ConfigError(f"frank parameter magnitude must be at least {FRANK_THETA_MIN!r}, "
+            if abs(theta) < THETA_MIN:
+                raise ConfigError(f"frank parameter magnitude must be at least {THETA_MIN!r}, "
                                   f"got {theta!r} (theta -> 0 is independence)")
             if abs(theta) > FRANK_THETA_MAX:
                 raise ConfigError(f"frank parameter magnitude capped at {FRANK_THETA_MAX}, got {theta}")
@@ -133,18 +133,24 @@ def _exp_expm1(theta, x):
     p = -theta x rounded and p + e = -theta x to about 2^-105 relative, by
     Veltkamp's split (Dekker 1971), and e^{p + e} = e^p (1 + e) to first order.
     That keeps the digits that rounding |theta x| to p loses, |theta x| eps of
-    them relative, so the error does not grow with |theta|."""
+    them relative, so the error does not grow with |theta|.  Arrays are
+    worked in place where they can be: six n-length allocations in all."""
     def split(y):
-        c = 134217729.0 * y  # 2^27 + 1
-        hi = c - (c - y)
+        hi = 134217729.0 * y  # 2^27 + 1
+        hi -= hi - y
         return hi, y - hi
 
-    p = -theta * x
     (ah, al), (bh, bl) = split(-theta), split(x)
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    ep = np.exp(p)
-    e *= ep
-    return ep + e, np.expm1(p) + e
+    p = -theta * x
+    e = ah * bh
+    e -= p
+    ep = np.multiply(ah, bl)
+    e += ep
+    e += np.multiply(al, bh, out=bh)
+    e += np.multiply(al, bl, out=bl)
+    e *= np.exp(p, out=ep)
+    ep += e
+    return ep, np.add(np.expm1(p, out=p), e, out=p)
 
 
 def _frank_frame(theta, u, v):
@@ -244,19 +250,10 @@ def conditional_cdf(model: CopulaModel, v, given_u):
     if model.family == INDEPENDENCE:
         out[inner] = vi
     elif model.family == CLAYTON:
-        # (1 + grow)^(-(theta+1)/theta), grow = u^theta (v^-theta - 1)
-        # = (u/v)^theta (1 - v^theta): log(u/v) is one rounding, so the error is
-        # about theta ulps, not theta (|log u| + |log v|).  Where (u/v)^theta
-        # overflows use L = log(grow): log(1 + grow) = softplus(L).
-        with np.errstate(over="ignore"):
-            log_ratio = np.log(ui / vi)
-            grow = np.exp(theta * log_ratio) * -np.expm1(theta * np.log(vi))
-        c = np.exp(-(theta + 1.0) / theta * np.log1p(grow))
-        big = ~np.isfinite(grow)
-        if big.any():
-            log_grow = theta * log_ratio[big] + _log1mexp(-theta * np.log(vi[big]))
-            c[big] = np.exp(-(theta + 1.0) / theta * np.logaddexp(0.0, log_grow))
-        out[inner] = c
+        # (u^-theta + v^-theta - 1)^(-(theta+1)/theta) u^(-theta-1)
+        # = (lo/u)^(theta+1) (1 + g)^(-(theta+1)/theta), where lo/u = 1 if u <= v.
+        lo, _, _, log1p_g = _clayton_terms(theta, ui, vi)
+        out[inner] = np.exp((theta + 1.0) * np.log(lo / ui) - (theta + 1.0) / theta * log1p_g)
     elif model.family == FRANK:
         eu, _, b_d, _, one_plus_q = _frank_frame(theta, ui, vi)
         out[inner] = eu * b_d / one_plus_q
@@ -430,8 +427,8 @@ def theta_from_tau(family: str, tau: float) -> float:
                 f"|tau| = {abs(tau):.6f} exceeds the numerically supported frank range "
                 f"(|tau| < {bound:.6f})"
             )
-        # Bisect to 1 ulp, until the midpoint is an end; tau(hi) >= |tau| and hi > FRANK_THETA_MIN.
-        target, lo, hi = abs(tau), FRANK_THETA_MIN, FRANK_THETA_MAX
+        # Bisect to 1 ulp, until the midpoint is an end; tau(hi) >= |tau| and hi > THETA_MIN.
+        target, lo, hi = abs(tau), THETA_MIN, FRANK_THETA_MAX
         while lo < (mid := 0.5 * (lo + hi)) < hi:
             lo, hi = (mid, hi) if _frank_tau(mid) < target else (lo, mid)
         return math.copysign(hi, tau)

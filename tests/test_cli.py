@@ -71,6 +71,7 @@ class TestValidation:
         ["fit", "--in", "s.csv\n", "--out", "f.csv"],
         ["sample", "--family", "clayton", "--theta", "2", "--n", "200", "--seed", "1", "--out", " x.csv "],
         ["sample", "--family", "independence", "--theta", "2", "--n", "200", "--seed", "1", "--out", "x.csv"],
+        ["sample", "--family", "clayton", "--theta", "1e-310", "--n", "5", "--seed", "1", "--out", "x.csv"],
         ["reproduce", "--family", "frank", "--n", "100", "--seed", "1", "--epsilon", "1e308", "--out", "t.csv"],
         ["estimate", "--in", "s.csv", "--grid", "1", "--out", "e.csv"],
         ["bands", "--in", "s.csv", "--Ac", "5", "--out", "b.csv"],

@@ -65,6 +65,26 @@ def clayton_points(theta):
     return u, rng.permutation(v)
 
 
+def clayton_near_diagonal(theta):
+    """u down to 1e-12 and v within about e^(+-1/theta) of it, below 1."""
+    rng = np.random.default_rng(5)
+    u = 10.0 ** -rng.uniform(0, 12, 400)
+    return u, np.minimum(u * np.exp(rng.normal(0.0, 1.0, 400) / theta), np.nextafter(1.0, 0.0))
+
+
+def clayton_conditional_at_40_digits(theta, u, v):
+    """C_2(v | u) = (1 + u^theta (v^-theta - 1))^(-(theta+1)/theta) at 40 digits."""
+    out = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        t = decimal.Decimal(theta)
+        for ui, vi in zip(u, v):
+            lu, lv = decimal.Decimal(ui).ln(), decimal.Decimal(vi).ln()
+            g = (t * lu).exp() * ((-t * lv).exp() - 1)
+            out.append(float((-(t + 1) / t * (1 + g).ln()).exp()))
+    return np.array(out)
+
+
 def assert_solves_gumbel(model, v, u, w):
     """v in [0, 1], and C_2(v | u) = w to 1e-10 or v within 4 ulps of where
     C_2(. | u) - w changes sign: near u = 1 one ulp of v can move C_2 by more."""
@@ -425,6 +445,11 @@ class TestDensity:
         assert gumbel_table_error(density, 4).max() <= 4.0
 
 
+# Clayton's conditional_cdf: the worst relative error in units of eps against
+# 40 digits, on clayton_points and on clayton_near_diagonal.
+CLAYTON_WORST_ULPS = {2.0: (50, 4), 100.0: (417, 24), 300.0: (390, 69), 1000.0: (647, 210)}
+
+
 class TestConditional:
     def test_independence(self):
         assert conditional_cdf(CopulaModel("independence"), 0.3, 0.9) == 0.3
@@ -464,42 +489,41 @@ class TestConditional:
     def test_clayton_where_the_grown_term_is_not_finite(self, theta):
         u, v = clayton_points(theta)
         got = conditional_cdf(CopulaModel("clayton", theta), v, u)
-        # The plain form, bit for bit wherever (u/v)^theta (1 - v^theta) is finite.
+        # The plain form (1 + grow)^(-(theta+1)/theta), grow = (u/v)^theta (1 - v^theta),
+        # bit for bit where u <= v: there (lo/u)^(theta+1) = 1 and g is grow.
         with np.errstate(over="ignore"):
             grow = np.exp(theta * np.log(u / v)) * -np.expm1(theta * np.log(v))
+        below = u <= v
+        assert np.array_equal(got[below], np.exp(-(theta + 1.0) / theta * np.log1p(grow[below])))
         finite = np.isfinite(grow)
-        plain = np.exp(-(theta + 1.0) / theta * np.log1p(grow[finite]))
-        assert np.array_equal(got[finite], plain)
         assert theta == 2.0 or not finite.all()
-        # Elsewhere (1 + u^theta (v^-theta - 1))^(-(theta+1)/theta), at 40 digits.  Both
-        # forms round theta log u and theta log v, so the bound is that many ulps.
-        with decimal.localcontext() as ctx:
-            ctx.prec = 40
-            t = decimal.Decimal(theta)
-            for ui, vi, ci in zip(u[~finite], v[~finite], got[~finite]):
-                lu, lv = decimal.Decimal(ui).ln(), decimal.Decimal(vi).ln()
-                g = (t * lu).exp() * ((-t * lv).exp() - 1)
-                want = float((-(t + 1) / t * (1 + g).ln()).exp())
-                ulps = theta * (abs(float(lu)) + abs(float(lv)))
-                assert ci == pytest.approx(want, rel=ulps * np.finfo(float).eps + 4e-15, abs=0.0)
+        # Where grow overflows, at 40 digits.  C_2 is exp of a sum of size about
+        # theta log(u/v) <= theta (|log u| + |log v|), so the bound is that many ulps.
+        ui, vi = u[~finite], v[~finite]
+        want = clayton_conditional_at_40_digits(theta, ui, vi)
+        ulps = theta * (np.abs(np.log(ui)) + np.abs(np.log(vi)))
+        assert (np.abs(got[~finite] - want) <= (ulps * np.finfo(float).eps + 4e-15) * want).all()
 
     @pytest.mark.parametrize("theta", [2.0, 100.0, 1000.0])
     def test_clayton_near_the_diagonal_within_theta_ulps(self, theta):
-        # (u/v)^theta rounds u/v once, so the error is about theta ulps; the
-        # difference of the rounded theta log u and theta log v errs by about
-        # 16 theta ulps here.
-        rng = np.random.default_rng(5)
-        u = 10.0 ** -rng.uniform(0, 12, 400)
-        v = np.minimum(u * np.exp(rng.normal(0.0, 1.0, 400) / theta), np.nextafter(1.0, 0.0))
+        # (lo/u)^(theta+1) and (lo/hi)^theta round lo/hi once, so the error is
+        # about theta ulps; the difference of the rounded theta log u and
+        # theta log v errs by about 16 theta ulps here.
+        u, v = clayton_near_diagonal(theta)
         got = conditional_cdf(CopulaModel("clayton", theta), v, u)
-        with decimal.localcontext() as ctx:
-            ctx.prec = 40
-            t = decimal.Decimal(theta)
-            for ui, vi, ci in zip(u, v, got):
-                lu, lv = decimal.Decimal(ui).ln(), decimal.Decimal(vi).ln()
-                g = (t * lu).exp() * ((-t * lv).exp() - 1)
-                want = float((-(t + 1) / t * (1 + g).ln()).exp())
-                assert ci == pytest.approx(want, rel=(theta + 4.0) * np.finfo(float).eps, abs=0.0)
+        want = clayton_conditional_at_40_digits(theta, u, v)
+        assert (np.abs(got - want) <= (theta + 4.0) * np.finfo(float).eps * want).all()
+
+    @pytest.mark.parametrize("theta", CLAYTON_WORST_ULPS, ids=repr)
+    def test_clayton_worst_ulps_are_pinned(self, theta):
+        worst = []
+        for u, v in (clayton_points(theta), clayton_near_diagonal(theta)):
+            got = conditional_cdf(CopulaModel("clayton", theta), v, u)
+            want = clayton_conditional_at_40_digits(theta, u, v)
+            zero = want == 0.0
+            assert (got[zero] == 0.0).all()
+            worst.append(np.max(np.abs(got[~zero] - want[~zero]) / want[~zero]) / np.finfo(float).eps)
+        assert all(np.less_equal(worst, CLAYTON_WORST_ULPS[theta])), worst
 
     def test_gumbel_near_the_diagonal_matches_mpmath_table(self):
         # theta from 1 + 1e-9 to 1e6; the bound does not grow with theta (a form
@@ -714,11 +738,14 @@ class TestFrankAccuracy:
         assert abs(got - ref) / ref <= np.finfo(float).smallest_subnormal / (w * abs(theta))
 
     def test_subnormal_theta_refused(self):
-        # Below the smallest normal double both functions lose 4-5 digits.
-        for theta in (1e-310, -1e-310, 5e-324):
-            with pytest.raises(ConfigError, match="frank parameter magnitude must be at least"):
-                CopulaModel("frank", theta)
-        assert CopulaModel("frank", -families.FRANK_THETA_MIN).theta == -2.2250738585072014e-308
+        # Below the smallest normal double Frank's CDF and inverse lose 4-5
+        # digits, and Clayton's density and conditional CDF read 0 at 1e-310.
+        for family, theta in [("frank", 1e-310), ("frank", -1e-310), ("frank", 5e-324),
+                              ("clayton", 1e-310), ("clayton", 5e-324)]:
+            with pytest.raises(ConfigError, match=f"{family} parameter (magnitude )?must be at least"):
+                CopulaModel(family, theta)
+        assert CopulaModel("frank", -families.THETA_MIN).theta == -2.2250738585072014e-308
+        assert CopulaModel("clayton", families.THETA_MIN).theta == 2.2250738585072014e-308
 
 
 class TestTauMaps:

@@ -78,6 +78,19 @@ def test_clayton_large_theta_draws_no_exact_zeros(theta):
     assert (s.v > 0.0).all() and (s.v < 1.0).all()
 
 
+@pytest.mark.parametrize("theta", [2.0, 100.0, 1000.0])
+def test_clayton_draws_at_scale(theta):
+    # The empirical copula within 6 binomial standard errors of the model at
+    # the nine quartile nodes, the benchmark's check on sample_copula.
+    n = 100_000
+    m = CopulaModel("clayton", theta)
+    s = sample_copula(m, n, SeededStream(11))
+    assert (np.isfinite(s.v) & (s.v >= 0.0) & (s.v <= 1.0)).all()
+    uu, vv = (a.ravel() for a in np.meshgrid([0.25, 0.5, 0.75], [0.25, 0.5, 0.75]))
+    c = cdf(m, uu, vv)
+    assert (np.abs(empirical_copula(s, uu, vv) - c) <= 6.0 * np.sqrt(c * (1.0 - c) / n) + 1.0 / n).all()
+
+
 @pytest.mark.parametrize("theta", [1e-300, -1e-300, 1e-17, -1e-17])
 def test_frank_near_independence_draws_are_the_uniforms(theta):
     # v solves C_2(v | u) = w, which is v = w at theta = 0.  The former
