@@ -81,29 +81,30 @@ def _model_from_config(config: RunConfig) -> CopulaModel:
     return CopulaModel(config.family, config.theta)
 
 
+def _refused(check, *args) -> list[str]:
+    """``[message]`` if ``check(*args)`` raises ``ConfigError``, else ``[]``."""
+    try:
+        check(*args)
+    except ConfigError as exc:
+        return [str(exc)]
+    return []
+
+
 def validate_config(config: RunConfig) -> list[str]:
     """Collect every configuration problem before any work starts."""
     problems = []
-    if config.command in ("sample", "reproduce"):
-        try:
-            if config.command == "sample":
-                _model_from_config(config)
-            elif str(config.family).lower() not in REPRODUCE_THETAS:
-                raise ConfigError("reproduce supports --family clayton or frank")
-        except ConfigError as exc:
-            problems.append(str(exc))
-        if config.n < 1:
-            problems.append(f"sample size must be >= 1, got {config.n}")
+    if config.command == "sample":
+        problems += _refused(_model_from_config, config)
+    elif config.command == "reproduce" and str(config.family).lower() not in REPRODUCE_THETAS:
+        problems.append("reproduce supports --family clayton or frank")
+    if config.command in ("sample", "reproduce") and config.n < 1:
+        problems.append(f"sample size must be >= 1, got {config.n}")
     for theta in config.thetas or ():
-        try:
-            if str(config.family).lower() in (CLAYTON, FRANK, GUMBEL):
-                CopulaModel(config.family, theta)
-            elif not math.isfinite(theta):
-                raise ConfigError(f"parameter list values must be finite, got {theta}")
-        except ConfigError as exc:
-            problems.append(str(exc))
-    if not 0 <= config.seed < 2**64:
-        problems.append(f"seed must fit in 64 unsigned bits, got {config.seed}")
+        if str(config.family).lower() in (CLAYTON, FRANK, GUMBEL):
+            problems += _refused(CopulaModel, config.family, theta)
+        elif not math.isfinite(theta):
+            problems.append(f"parameter list values must be finite, got {theta}")
+    problems += _refused(SeededStream, config.seed)
     if config.grid_size < 2:
         problems.append(f"grid size must be >= 2, got {config.grid_size}")
     if not (math.isfinite(config.alpha) and config.alpha > 0):
@@ -127,25 +128,20 @@ def validate_config(config: RunConfig) -> list[str]:
     # Every command but plot echoes the configuration into its output file.
     if config.command != "plot" and config.output_path:
         for key, value in config.as_meta().items():
-            try:
-                meta_line(key, value)
-            except ConfigError as exc:
-                problems.append(str(exc))
+            problems += _refused(meta_line, key, value)
     if len(config.overlays) > 3:
         problems.append("at most 3 overlays are supported")
     for overlay in config.overlays:
-        try:
-            _parse_overlay(overlay)
-        except ConfigError as exc:
-            problems.append(str(exc))
+        problems += _refused(_parse_overlay, overlay)
     return problems
 
 
 def _pseudo_from_file(config: RunConfig):
+    """The --in pairs as a pseudo-sample, and the config with n the file's row count."""
     sample, diagnostics = read_pairs_csv(config.input_path)
     if diagnostics.blank_lines:
         print(f"note: skipped {diagnostics.blank_lines} blank lines", file=sys.stderr)
-    return to_pseudo(sample, transform=config.transform)
+    return to_pseudo(sample, transform=config.transform), replace(config, n=sample.n)
 
 
 def _policy_for(config: RunConfig) -> BandwidthPolicy:
@@ -155,16 +151,9 @@ def _policy_for(config: RunConfig) -> BandwidthPolicy:
 def _estimate_from_file(config: RunConfig):
     """Grid estimate of the --in pairs, with the config echo (n is the file's
     row count) and the derived bandwidth policy actually used as its meta."""
-    pseudo = _pseudo_from_file(config)
-    config = replace(config, n=pseudo.n)
+    pseudo, config = _pseudo_from_file(config)
     policy = _policy_for(config)
-    meta = {
-        **config.as_meta(),
-        "policy_h_n": policy.h_n,
-        "policy_h_min": policy.h_min,
-        "policy_h_max": policy.h_max,
-        "policy_alpha": policy.alpha,
-    }
+    meta = {**config.as_meta(), **{f"policy_{f.name}": getattr(policy, f.name) for f in fields(policy)}}
     return replace(evaluate_grid(pseudo, config.grid_size, policy), meta=meta)
 
 
@@ -195,8 +184,7 @@ def cmd_bands(config: RunConfig) -> int:
 
 
 def cmd_fit(config: RunConfig) -> int:
-    pseudo = _pseudo_from_file(config)
-    config = replace(config, n=pseudo.n)
+    pseudo, config = _pseudo_from_file(config)
     report = fit_families(pseudo)
     print(f"empirical kendall tau: {report.tau_hat:.6f}")
     print(f"{'family':<14}{'theta':>12}{'log-likelihood':>18}  note")

@@ -115,11 +115,6 @@ def _clayton_terms(theta, u, v):
     return lo, log_hi, t_log_ratio, np.log1p(np.exp(t_log_ratio) * -np.expm1(theta * log_hi))
 
 
-def _clayton_cdf(theta, u, v):
-    lo, _, _, log1p_g = _clayton_terms(theta, u, v)
-    return lo * np.exp(-log1p_g / theta)
-
-
 def _frank_log(theta, q, one_plus_q):
     """-log(1 + q)/theta.  Where 1 + q > 1/2 it is -log1p(q)/theta, which keeps
     every digit of a q near 0 and is never negative; elsewhere it is
@@ -176,10 +171,6 @@ def _frank_frame(theta, u, v):
     return eu, ev, b_d, q, one_plus_q
 
 
-def _frank_cdf(theta, u, v):
-    return _frank_log(theta, *_frank_frame(theta, u, v)[3:])
-
-
 def _gumbel_terms(theta, u, v):
     """(min(x, y), m, |y - x|, log r, t, d) at interior u, v: x = -log u, y = -log v,
     m = max(x, y), r = min(x, y)/m, t = log1p(r^theta)/theta, d = s - m = m expm1(t).
@@ -198,10 +189,6 @@ def _gumbel_terms(theta, u, v):
     return small, m, gap, log_r, t, m * np.expm1(t)
 
 
-def _gumbel_cdf(theta, u, v):
-    return np.minimum(u, v) * np.exp(-_gumbel_terms(theta, u, v)[-1])  # e^-s = lo e^-d
-
-
 def cdf(model: CopulaModel, u, v):
     """Copula CDF C(u, v).  It starts from min(u, v), C itself on every edge of
     the square (``+ 0.0`` turns -0.0 into 0.0).  The family's formula runs on
@@ -211,10 +198,18 @@ def cdf(model: CopulaModel, u, v):
     u, v, scalar = _unit_args(u, v, ("u", "v"), (False, False))
     out = np.minimum(u, v) + 0.0
     inner = (u > 0.0) & (v > 0.0) & (u < 1.0) & (v < 1.0)
-    interior_cdf = {INDEPENDENCE: lambda _, a, b: a * b, CLAYTON: _clayton_cdf, FRANK: _frank_cdf,
-                    GUMBEL: _gumbel_cdf}[model.family]
+    theta = model.theta
     ui, vi = u[inner], v[inner]
-    out[inner] = np.clip(interior_cdf(model.theta, ui, vi), np.maximum(ui + vi - 1.0, 0.0), out[inner])
+    if model.family == INDEPENDENCE:
+        interior = ui * vi
+    elif model.family == CLAYTON:
+        lo, _, _, log1p_g = _clayton_terms(theta, ui, vi)
+        interior = lo * np.exp(-log1p_g / theta)
+    elif model.family == FRANK:
+        interior = _frank_log(theta, *_frank_frame(theta, ui, vi)[3:])
+    else:
+        interior = np.minimum(ui, vi) * np.exp(-_gumbel_terms(theta, ui, vi)[-1])  # e^-s = lo e^-d
+    out[inner] = np.clip(interior, np.maximum(ui + vi - 1.0, 0.0), out[inner])
     return unwrap(out, scalar)
 
 

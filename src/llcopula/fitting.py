@@ -129,10 +129,8 @@ def fit_families(sample: PseudoSample) -> FitReport:
         value, floored = log_likelihood(model, sample)
         note = f"{floored} floored density terms" if floored else ""
         rows.append(FitRow(family, theta, value, True, note=note))
-    applicable = [r for r in rows if r.applicable]
-    if not applicable:
+    # Stable: inapplicable rows keep the DEFAULT_FAMILIES order.
+    rows.sort(key=lambda r: (not r.applicable, -r.log_likelihood if r.applicable else 0.0))
+    if not rows[0].applicable:
         raise ConfigError(f"no applicable family for empirical tau {tau_hat:.4f}")
-    applicable.sort(key=lambda r: -r.log_likelihood)
-    inapplicable = [r for r in rows if not r.applicable]
-    ordered = tuple(applicable + inapplicable)
-    return FitReport(tau_hat=tau_hat, rows=ordered, selected=ordered[0].family)
+    return FitReport(tau_hat=tau_hat, rows=tuple(rows), selected=rows[0].family)

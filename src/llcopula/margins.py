@@ -197,14 +197,18 @@ def _smoothed_at_data(values: np.ndarray):
     return at_sorted[col.rank], col.order if (at_sorted[1:] >= at_sorted[:-1]).all() else None
 
 
+def _pseudo_from_columns(sample: RawSample, column) -> PseudoSample:
+    """Each margin's (values, argsort or None) by ``column``; the orders fill the cached columns."""
+    (u, order_u), (v, order_v) = column(sample.x), column(sample.y)
+    pseudo = PseudoSample(u=u, v=v)
+    vars(pseudo)["sorted_columns"] = SortedColumn.of(pseudo.u, order_u), SortedColumn.of(pseudo.v, order_v)
+    return pseudo
+
+
 def to_pseudo_smoothed(sample: RawSample) -> PseudoSample:
     """Pseudo-observations via smoothed marginal CDFs evaluated at the data,
     each margin at its ``default_margin_bandwidth``."""
-    (u, order_u), (v, order_v) = _smoothed_at_data(sample.x), _smoothed_at_data(sample.y)
-    pseudo = PseudoSample(u=u, v=v)
-    # Fills the cached property; a column without a handed order sorts itself.
-    vars(pseudo)["sorted_columns"] = SortedColumn.of(pseudo.u, order_u), SortedColumn.of(pseudo.v, order_v)
-    return pseudo
+    return _pseudo_from_columns(sample, _smoothed_at_data)
 
 
 def _scaled_ranks(values: np.ndarray):
@@ -221,11 +225,7 @@ def _scaled_ranks(values: np.ndarray):
 
 def to_pseudo_ranks(sample: RawSample) -> PseudoSample:
     """Pseudo-observations (n/(n+1)) * F_n(X_i) from empirical ranks."""
-    (u, order_u), (v, order_v) = _scaled_ranks(sample.x), _scaled_ranks(sample.y)
-    pseudo = PseudoSample(u=u, v=v)
-    # Fills the cached property, so the columns are never sorted again.
-    vars(pseudo)["sorted_columns"] = SortedColumn.of(pseudo.u, order_u), SortedColumn.of(pseudo.v, order_v)
-    return pseudo
+    return _pseudo_from_columns(sample, _scaled_ranks)
 
 
 def to_pseudo(sample: RawSample, transform: str = TRANSFORM_RANK) -> PseudoSample:
