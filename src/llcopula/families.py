@@ -14,8 +14,8 @@ within 4 at every tested |theta| from 1e-300 to 350, both signs (the CDF within
 8 on other draws); a subnormal theta, below the smallest normal double, is
 refused.
 Clayton's and Gumbel's CDF, density and conditional CDF each build on one
-log-space terms helper per family, from min(u, v) and a once-rounded log of a
-ratio, so no power overflows and no terms of size theta |log u| cancel.
+log-space terms helper per family, from min(u, v) and the log ratio of
+``_log_gap``, so no power overflows and no terms of size theta |log u| cancel.
 Frank's tau and the Debye function behind it come from two series to a few
 ulps, and tau is inverted by bisection to 1 ulp; numpy alone.
 """
@@ -104,15 +104,25 @@ def _log1mexp(a):
         return np.where(a <= np.log(2.0), np.log(-np.expm1(-a)), np.log1p(-np.exp(-a)))
 
 
+def _log_gap(lo, hi):
+    """log(hi/lo) for 0 < lo <= hi as log1p((hi - lo)/lo), whose hi - lo is exact
+    near the diagonal, where log(lo/hi) loses digits to the rounded ratio.  Where
+    the quotient overflows (lo subnormal): log hi - log lo, on those points only."""
+    with np.errstate(over="ignore"):
+        gap = np.log1p((hi - lo) / lo)
+    far = np.nonzero(gap == np.inf)
+    gap[far] = np.log(hi[far]) - np.log(lo[far])
+    return gap
+
+
 def _clayton_terms(theta, u, v):
-    """(lo, log hi, theta log(lo/hi), log1p(g)) at interior u, v, lo = min(u, v),
+    """(lo, log hi, log(hi/lo), log1p(g)) at interior u, v, lo = min(u, v),
     hi = max(u, v): u^-theta + v^-theta - 1 = lo^-theta (1 + g) with
-    g = (lo/hi)^theta (1 - hi^theta) in [0, 1).  log(lo/hi) is rounded once and
-    no power can overflow, so nothing of size theta (|log u| + |log v|) cancels."""
+    g = (lo/hi)^theta (1 - hi^theta) in [0, 1).  log(hi/lo) is ``_log_gap``'s
+    and no power can overflow, so nothing of size theta (|log u| + |log v|) cancels."""
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    log_hi = np.log(hi)
-    t_log_ratio = theta * np.log(lo / hi)
-    return lo, log_hi, t_log_ratio, np.log1p(np.exp(t_log_ratio) * -np.expm1(theta * log_hi))
+    log_hi, gap = np.log(hi), _log_gap(lo, hi)
+    return lo, log_hi, gap, np.log1p(np.exp(-theta * gap) * -np.expm1(theta * log_hi))
 
 
 def _frank_log(theta, q, one_plus_q):
@@ -176,16 +186,14 @@ def _gumbel_terms(theta, u, v):
     m = max(x, y), r = min(x, y)/m, t = log1p(r^theta)/theta, d = s - m = m expm1(t).
 
     Near the diagonal r^theta needs log r to its last digits: there
-    |y - x| = log1p((hi - lo)/lo), hi - lo is exact, and log r = log1p(-|y - x|/m).
+    |y - x| is ``_log_gap``'s and log r = log1p(-|y - x|/m).
     """
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     small, m = -np.log(hi), -np.log(lo)
-    with np.errstate(over="ignore"):
-        gap = np.log1p((hi - lo) / lo)  # inf only where lo is subnormal
-        gap = np.where(gap < np.inf, gap, m - small)
-        q = np.minimum(gap / m, 0.5)
-        log_r = np.where(q < 0.5, np.log1p(-q), np.log(small / m))
-        t = np.log1p(np.exp(theta * log_r)) / theta
+    gap = _log_gap(lo, hi)
+    q = np.minimum(gap / m, 0.5)
+    log_r = np.where(q < 0.5, np.log1p(-q), np.log(small / m))
+    t = np.log1p(np.exp(theta * log_r)) / theta
     return small, m, gap, log_r, t, m * np.expm1(t)
 
 
@@ -220,8 +228,8 @@ def density(model: CopulaModel, u, v):
     if model.family == INDEPENDENCE:
         out = np.ones_like(u)
     elif model.family == CLAYTON:
-        _, log_hi, t_log_ratio, log1p_g = _clayton_terms(theta, u, v)
-        out = np.exp(np.log1p(theta) - log_hi + t_log_ratio - (2.0 + 1.0 / theta) * log1p_g)
+        _, log_hi, gap, log1p_g = _clayton_terms(theta, u, v)
+        out = np.exp(np.log1p(theta) - log_hi - theta * gap - (2.0 + 1.0 / theta) * log1p_g)
     elif model.family == FRANK:
         # -theta d e^{-theta (u + v)} / (d (1 + q))^2, each factor divided
         # before the product, so nothing overflows or underflows at |theta| = 350.
@@ -246,9 +254,9 @@ def conditional_cdf(model: CopulaModel, v, given_u):
         out[inner] = vi
     elif model.family == CLAYTON:
         # (u^-theta + v^-theta - 1)^(-(theta+1)/theta) u^(-theta-1)
-        # = (lo/u)^(theta+1) (1 + g)^(-(theta+1)/theta), where lo/u = 1 if u <= v.
-        lo, _, _, log1p_g = _clayton_terms(theta, ui, vi)
-        out[inner] = np.exp((theta + 1.0) * np.log(lo / ui) - (theta + 1.0) / theta * log1p_g)
+        # = (lo/u)^(theta+1) (1 + g)^(-(theta+1)/theta), where log(lo/u) = -gap if v < u, else 0.
+        _, _, gap, log1p_g = _clayton_terms(theta, ui, vi)
+        out[inner] = np.exp(-(theta + 1.0) * np.where(vi < ui, gap, 0.0) - (theta + 1.0) / theta * log1p_g)
     elif model.family == FRANK:
         eu, _, b_d, _, one_plus_q = _frank_frame(theta, ui, vi)
         out[inner] = eu * b_d / one_plus_q

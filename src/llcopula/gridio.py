@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .kernels import run_bounds
 from .margins import RawSample
 
 GRID_COLUMNS = ("u", "v", "estimate", "lower", "upper")
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True)
@@ -119,13 +121,18 @@ def _read_csv(path: str, ncols: int):
     The first other line, at line ``first`` (0 if none), gives the ``header``
     cells if its first cell is not a float (else None); the rest are ``data``,
     ``(m, ncols)`` finite floats, parsed BLOCK_ROWS rows at a time.  A fault
-    raises ``InputError`` at ``path:line``, a byte that is not UTF-8 too, and
-    a file that cannot be opened or read at ``path``.
+    raises ``InputError`` at ``path:line``, a byte that is not UTF-8 too (the
+    first fault in file order, whatever the file's size), and a file that
+    cannot be opened or read at ``path``.
     """
     first, header, notes, blanks, rows, blocks = 0, None, [], 0, [], []
     try:
-        with open(path, encoding="utf-8") as fh:
+        # A byte that is not UTF-8 reads as a lone surrogate, U+DC80 plus the byte.
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, 1):
+                if not line.isascii() and (bad := _NOT_UTF8.search(line)):
+                    _parse_rows(path, rows, ncols)  # a fault on an earlier line is reported first
+                    raise InputError(f"{path}:{lineno}: not UTF-8 text (byte {ord(bad[0]) - 0xDC00:#04x})")
                 line = line.strip()
                 if line[:1] == "#":
                     notes.append((lineno, line))
@@ -149,23 +156,7 @@ def _read_csv(path: str, ncols: int):
         raise InputError(f"no such file: {path}") from None
     except OSError as exc:
         raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    except UnicodeDecodeError:
-        raise InputError(_undecodable(path)) from None
     return first, header, np.concatenate([*blocks, _parse_rows(path, rows, ncols)]), notes, blanks
-
-
-def _undecodable(path: str) -> str:
-    """``path:line`` and the byte of the first line that is not UTF-8.  The text
-    reader decodes by the block, so the line is found again in the bytes, split
-    at the reader's universal newlines; no UTF-8 sequence holds one."""
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for lineno, raw in enumerate(lines, 1):
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return f"{path}:{lineno}: not UTF-8 text (byte {raw[exc.start]:#04x})"
-    return f"{path}: not UTF-8 text"
 
 
 def _parse_rows(path: str, rows, ncols: int) -> np.ndarray:

@@ -109,9 +109,9 @@ class TestValidation:
     def test_unreadable_input_is_an_input_error(self, command, tmp_path, monkeypatch, capsys):
         # A directory and a byte that is not UTF-8: exit 3 and one line, no traceback, no file.
         monkeypatch.chdir(tmp_path)
-        Path("bad.csv").write_bytes(b"u,v\n0.1,0.2\n0.3,\xff0.4\n")
+        Path("bad.csv").write_bytes(b"u,\xffv\n0.1,0.2\n0.3,0.4\n")
         for path, message in ((".", "error:input: .: cannot read: "),
-                              ("bad.csv", "error:input: bad.csv:3: not UTF-8 text (byte 0xff)")):
+                              ("bad.csv", "error:input: bad.csv:1: not UTF-8 text (byte 0xff)")):
             assert run_cli(command, "--in", path, "--out", "out") == 3
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1 and lines[0].startswith(message)

@@ -185,6 +185,8 @@ class TestFitFamilies:
         assert not by_family["gumbel"].applicable
         assert by_family["frank"].applicable
         assert report.selected == "frank"
+        # Applicable rows first; the inapplicable ones keep DEFAULT_FAMILIES' order.
+        assert [r.family for r in report.rows] == ["frank", "clayton", "gumbel"]
 
     def test_comonotone_boundary(self):
         # Empirical tau 1 lies outside every default family's open tau range.

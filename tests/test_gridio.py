@@ -111,6 +111,18 @@ class TestPairsCsv:
         with pytest.raises(InputError, match=":1201: non-numeric"):
             read_pairs_csv(str(path))
 
+    @pytest.mark.parametrize("read, text, fault", [
+        (read_pairs_csv, b"0.1,0.2\n0.3,oops\n0.5,\xff0.4\n", ":2: non-numeric"),
+        (read_grid_csv, b"u,v\n0.1,0.2\n0.3,\xff0.4\n", ":1: expected 5 columns, got 2 in the header"),
+    ], ids=["pairs", "grid"])
+    def test_first_fault_before_a_byte_that_is_not_utf8(self, tmp_path, read, text, fault):
+        # A small file is decoded in one block, ahead of its first line; the
+        # earlier fault is still the one reported, as in a large file.
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text)
+        with pytest.raises(InputError, match=fault):
+            read(str(path))
+
     def test_float_only_cell_in_a_later_block_reads(self, tmp_path):
         rows = [f"{k},0.5" for k in range(3000)]
         rows[2500] = "1_0,0.5"
