@@ -158,7 +158,6 @@ def ll_copula_estimate(sample: PseudoSample, u, v, policy: BandwidthPolicy):
 # Width of the column blocks that the grid contraction streams over: a
 # partial u-row costs about (BLOCK + its window) * grid size (256-2048 tried).
 BLOCK = 512
-GROUP = 4
 # Largest m*n*k that OpenBLAS multiplies on one thread (its default): a thread
 # hand-off costs more than these small products, far more on a busy machine.
 BLAS_SERIAL = 2**18
@@ -175,12 +174,12 @@ def _grid_sums(kerns: tuple, su: SortedColumn, sv: SortedColumn) -> np.ndarray:
     v-factor at node j (both axes share the grid's kernels ``kerns``),
     streamed over the data in u-sorted order, BLOCK columns at a time.
 
-    On a block a u-factor row is all ones, all zeros or partial.  The block of
-    every v-factor is built from a rank compare plus that block's v-window
-    entries, found by searching each window in the block's sorted v-ranks.
-    All-ones u-rows add the block's column sums, all-zero rows are skipped,
-    and only the few partial rows take a matrix product.  The traced peak at
-    n = 10^5 on 101 nodes is 7.5 MiB (13.7 MiB with 3-decimal ties).
+    On a block a u-factor row is all ones, all zeros or partial.  Every
+    v-factor's block is a rank compare plus its v-window entries, found by
+    searching each window in the block's sorted v-ranks.  An int64 table counts
+    the compare's ones per block; all-ones u-rows add to one float sum only the
+    rest of the block's column sums, and partial rows their matrix products.
+    The traced peak at n = 10^5 on 101 nodes is 7.6 MiB (13.8 MiB with ties).
     """
     n, g = su.values.size, len(kerns)
     ua, ub, ustart, u_values = u_axis = _factor_rows(kerns, su)
@@ -192,22 +191,21 @@ def _grid_sums(kerns: tuple, su: SortedColumn, sv: SortedColumn) -> np.ndarray:
     v_rank = sv.rank[su.order]  # v-rank of the point at each u-sorted position
     width = min(n, BLOCK)
     rows = max(1, BLAS_SERIAL // (g * width))  # partial u-rows per product
-    sums, part = np.zeros((g, g)), np.zeros((g, g))  # part: this group of GROUP blocks
-    kv = np.empty((g, width))
-    for k, s in enumerate(range(0, n, width)):
-        if k % GROUP == 0:  # the large running sums round once per group, not per block
-            sums, part = sums + part, np.zeros((g, g))
-        e = min(s + width, n)
+    ends = [*range(width, n, width), n]
+    counts = np.zeros((len(ends) + 1, g), dtype=np.int64)  # row k + 1: block k's points before each v-window
+    sums, kv = np.zeros((g, g)), np.empty((g, width))
+    for k, (s, e) in enumerate(zip(range(0, n, width), ends)):
         block = kv[:, : e - s]
         np.less(v_rank[s:e], va[:, None], out=block)
         ranks = v_rank[s:e].astype(np.intp)  # numpy sorts 16-bit keys without SIMD
         column = np.argsort(ranks)  # the block's points in v-rank order
         ranks = ranks[column]
         first, last = np.searchsorted(ranks, (va, vb))  # each v-window's points: ranks[first:last]
+        counts[k + 1] = first
         node = np.repeat(np.arange(g), last - first)
         at = np.arange(node.size) + (last - np.cumsum(last - first))[node]  # first[j]:last[j] for each j
         kv.reshape(-1)[node * width + column[at]] = values[v_off[node] + ranks[at]]
-        part[ua >= e] += block.sum(axis=1)
+        sums[ua >= e] += block.sum(axis=1) - first  # the window part; the ones are counted
         partial = np.flatnonzero((ua < e) & (ub > s))
         ku = np.zeros((partial.size, e - s))
         for row, i in zip(ku, partial):
@@ -216,8 +214,9 @@ def _grid_sums(kerns: tuple, su: SortedColumn, sv: SortedColumn) -> np.ndarray:
             lo, hi = max(a, s), min(b, e)
             row[lo - s : hi - s] = u_values[off + lo : off + hi]
         for r in range(0, partial.size, rows):  # each product small enough for one BLAS thread
-            part[partial[r : r + rows]] += ku[r : r + rows] @ block.T
-    return sums + part
+            sums[partial[r : r + rows]] += ku[r : r + rows] @ block.T
+    # Row i's u-factor is 1 on the blocks that end by its window start ua[i].
+    return np.cumsum(counts, axis=0)[np.searchsorted(ends, ua, side="right")] + sums
 
 
 def evaluate_grid(sample: PseudoSample, grid_size: int, policy: BandwidthPolicy) -> BandGrid:

@@ -49,7 +49,13 @@ def without_shrink(pol):
 # up to 10^5, with and without ties, on 11-, 21- and 101-node grids), where a
 # dense ``ku @ kv.T`` moves the same cells by up to 5.5 ulps; on 3,000 parity
 # cases below it was 2 ulps.  Where every product is inexact (a constant
-# column at n = 4097) both move cells by up to 39 ulps.
+# column at n = 4097) both move cells by up to 39 ulps.  The grid counts each
+# block's ones as integers and adds only the rest in floats, so its error does
+# not grow with n.  On seeded uniform points at n = 10^5 and 10^6 (7 and 11
+# nodes, untied and with 3-decimal ties) it reads 0.5 ulps at most; float
+# running sums of the ones read up to 1.5 and 5 (18.5 on 3-decimal-tied ranks
+# at n = 10^6).  On the Clayton, Frank and Gumbel data above (11 and 21 nodes)
+# it reads 1 ulp at most, where the float sums read 2.
 GRID_ULPS = 4
 # One-decimal ties make each factor take a few inexact values hundreds of
 # times, and repeated equal addends round the same way in a running sum: on
@@ -370,8 +376,9 @@ class TestGridReuse:
         "n, rank", [(511, True), (512, True), (513, True), (2049, True), (5000, True), (5000, False)]
     )
     def test_near_exact_across_block_edges(self, n, rank):
-        # One block short of, at and past BLOCK, past a group of blocks, and
-        # the smoothed route's unequal columns.
+        # One block short of, at and past BLOCK, past four blocks (a partial
+        # fifth whose ones are counted like the full ones), and the smoothed
+        # route's unequal columns.
         ps = make_sample(CopulaModel("frank", 5.0), n, 14, rank)
         if not rank:
             ps = to_pseudo_smoothed(RawSample(np.expm1(2.5 * ps.u), -np.log1p(-0.995 * ps.v)))
@@ -438,6 +445,22 @@ def test_estimator_at_scale(decimals):
     assert peak < 16 * n
 
 
+def test_near_exact_at_a_million_points():
+    # Where the float running sums would carry the grid's ones, n = 10^6 moved
+    # 7-node cells by 4.5 ulps; counted exactly, they read 0.5, as the points do.
+    n = 1_000_000
+    ps = PseudoSample(*np.random.default_rng(7).random((2, n)))
+    pol = BandwidthPolicy.from_sample_size(n)
+    grid = np.linspace(0.0, 1.0, 7)
+    ku = np.stack([dense_factor(g, ps.u, pol) for g in grid])
+    kv = np.stack([dense_factor(g, ps.v, pol) for g in grid])
+    assert_grid_near_exact(evaluate_grid(ps, 7, pol).values, ku, kv)
+    del ku, kv
+    uu = np.array([0.0, 0.0, 1.0, 1.0, 0.5, 0.013, 0.25, 0.75, 0.9, 0.31, 0.62, 0.999])
+    vv = np.array([0.4, 1.0, 1.0, 0.0, 0.5, 0.7, 0.25, 0.2, 0.95, 0.88, 0.04, 0.6])
+    assert_points_near_exact(ps, uu, vv, pol)
+
+
 def test_sample_keeps_its_own_columns():
     # Mutating the caller's arrays after construction changes neither the
     # sample's columns nor its estimates, before or after the columns are sorted.
@@ -464,7 +487,7 @@ def test_sample_keeps_its_own_columns():
 
 def test_grid_memory_at_scale():
     # Two dense 101 x n factor matrices alone take 16 * 101 * n bytes (154 MiB).
-    # The streamed contraction peaked at 7.5 MiB here (13.7 MiB with 3-decimal
+    # The streamed contraction peaked at 7.6 MiB here (13.8 MiB with 3-decimal
     # ties, whose unequal sorted columns take two sets of factor rows); with the
     # v-window entries packed and sorted by block up front it peaked at 23.0
     # and 29.3 MiB.
