@@ -113,18 +113,19 @@ def write_csv(path: str, header, rows, meta: dict | None = None) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _read_csv(path: str, ncols: int):
-    """The inverse of ``write_csv``: ``(first, header, data, notes, blanks)``.
+def _read_csv(path: str, columns):
+    """The inverse of ``write_csv``: ``(header, data, notes, blanks)``.
 
     Lines end at "\\n" (universal newlines) and are stripped; blank ones are
     counted and ``#`` ones, anywhere, kept in ``notes`` as ``(lineno, text)``.
-    The first other line, at line ``first`` (0 if none), gives the ``header``
-    cells if its first cell is not a float (else None); the rest are ``data``,
-    ``(m, ncols)`` finite floats, parsed BLOCK_ROWS rows at a time.  A fault
-    raises ``InputError`` at ``path:line``, a byte that is not UTF-8 too (the
-    first fault in file order, whatever the file's size), and a file that
-    cannot be opened or read at ``path``.
+    The first other line gives the ``header`` cells if its first cell is not
+    a float (else None), which must be ``columns`` where that is the names,
+    not the count; the rest are ``data``, ``(m, ncols)`` finite floats, parsed
+    BLOCK_ROWS rows at a time.  A fault raises ``InputError`` at ``path:line``,
+    a byte that is not UTF-8 too (the first fault in file order, whatever the
+    file's size), and a file that cannot be opened or read at ``path``.
     """
+    ncols = len(columns) if isinstance(columns, tuple) else columns
     first, header, notes, blanks, rows, blocks = 0, None, [], 0, [], []
     try:
         # A byte that is not UTF-8 reads as a lone surrogate, U+DC80 plus the byte.
@@ -152,11 +153,13 @@ def _read_csv(path: str, ncols: int):
                         header = tuple(cell.strip() for cell in line.split(","))
                         if len(header) != ncols:
                             raise InputError(f"{path}:{first}: expected {ncols} columns, got {len(header)} in the header") from None
+                    if isinstance(columns, tuple) and header != columns:
+                        raise InputError(f"{path}:{first}: expected header {','.join(columns)!r}")
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
     except OSError as exc:
         raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    return first, header, np.concatenate([*blocks, _parse_rows(path, rows, ncols)]), notes, blanks
+    return header, np.concatenate([*blocks, _parse_rows(path, rows, ncols)]), notes, blanks
 
 
 def _parse_rows(path: str, rows, ncols: int) -> np.ndarray:
@@ -189,7 +192,7 @@ def read_pairs_csv(path: str) -> tuple[RawSample, CsvDiagnostics]:
     A non-numeric or non-finite (nan, inf) cell raises ``InputError`` with
     its ``path:line``.
     """
-    _, header, data, notes, blanks = _read_csv(path, 2)
+    header, data, notes, blanks = _read_csv(path, 2)
     if len(data) < 2:
         raise InputError(f"{path}: need at least 2 data rows, found {len(data)}")
     return RawSample(*data.T.copy()), CsvDiagnostics(blanks, len(notes), header is not None)
@@ -217,9 +220,7 @@ def read_grid_csv(path: str) -> BandGrid:
     ``path:line``, and a grid that breaks the record's invariants (a negative
     halfwidth, a lower bound above the upper one) raises it at ``path``.
     """
-    first, header, data, notes, _ = _read_csv(path, len(GRID_COLUMNS))
-    if first and header != GRID_COLUMNS:
-        raise InputError(f"{path}:{first}: expected header {','.join(GRID_COLUMNS)!r}")
+    _, data, notes, _ = _read_csv(path, GRID_COLUMNS)
     meta: dict[str, str] = {}
     for lineno, line in notes:
         key, _, value = (part.strip() for part in line.lstrip("#").partition("="))

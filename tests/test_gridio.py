@@ -325,6 +325,10 @@ class TestGridCsv:
         path.write_bytes(b"u,v\n0.1,0.2\n0.3,\xff0.4\n")
         with pytest.raises(InputError, match=":1: expected 5 columns, got 2 in the header$"):
             read_grid_csv(str(path))
+        # Five cells of the wrong names are refused on line 1, before a bad cell below them.
+        path.write_text("a,b,c,d,e\n0,0,0.1,0.0,0.2\n0.1,oops,0.3,0.3,0.3\n")
+        with pytest.raises(InputError, match=":1: expected header 'u,v,estimate,lower,upper'$"):
+            read_grid_csv(str(path))
 
     def test_incomplete_lattice(self, tmp_path):
         path = tmp_path / "grid.csv"
